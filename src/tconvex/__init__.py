@@ -73,7 +73,6 @@ from .functions import (
     qconv_envelope,
     serialize_fn,
     table_fn,
-    table_from_callable,
     transport,
 )
 from .generators import generate_instance

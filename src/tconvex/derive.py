@@ -26,9 +26,10 @@ from .endos import (
     try_inverse,
     validate_endo,
 )
-from .functions import ConvexPair, TableFn, check_inequality
+from .functions import TT_AFFINE, ConvexPair, TableFn, _first_violation, check_inequality
 from .groups import LATTICE, NADIC, GroupError, Element, divisible_by, mu_d
 from .rationals import ext_add, ext_le, format_rational
+from .sets import combo_table
 from .report import ASSUMED, CERTIFIED_BOUND, EXHAUSTIVE, FAILED, VERIFIED, Report
 
 
@@ -211,7 +212,7 @@ def u_grid_verify(f, t: Endo, n: int, k: int, x: Element, y: Element) -> Report:
                 u = g.reduce(raw)
             except GroupError:
                 raise DeriveError(f"grid cell ({i},{j}) escapes the domain")
-            if not f.domain.contains(u):
+            if u not in f.domain:
                 raise DeriveError(f"grid cell ({i},{j}) escapes the domain")
             row.append(u)
         grid.append(row)
@@ -360,17 +361,10 @@ def affine_decompose(a: TableFn, pairs) -> AffineDecomposition:
     # affine equality probed on the triples that stay inside the window
     # (finite windows of torsion-free carriers are never fully T-convex)
     for p in pairs:
-        it = complement(p.endo)
-        for x in dom.elements:
-            tx = p.endo.apply(x)
-            for y in dom.elements:
-                z = g.add(tx, it.apply(y))
-                if z not in dom:
-                    continue
-                if a(z) != p.t * a(x) + (1 - p.t) * a(y):
-                    raise DeriveError(
-                        f"input is not (T,t)-affine at {x.coords}, {y.coords}"
-                    )
+        hit = _first_violation(TT_AFFINE, p.t, a.values, combo_table(dom, p.endo))
+        if hit is not None:
+            x, y = (dom.elements[i] for i in hit)
+            raise DeriveError(f"input is not (T,t)-affine at {x.coords}, {y.coords}")
     c = a(zero)
     table = {x.coords: a(x) - c for x in dom.elements}
     dec = AffineDecomposition(table, c, ok=True)

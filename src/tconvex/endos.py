@@ -145,18 +145,6 @@ def power(t: Endo, k: int) -> Endo:
     return result
 
 
-def endo_arith(kind: str, t: Endo, s: Endo = None, k: int = None) -> Endo:
-    if kind == "compose":
-        return compose(t, s)
-    if kind == "add":
-        return add(t, s)
-    if kind == "complement":
-        return complement(t)
-    if kind == "power":
-        return power(t, k)
-    raise EndoError(f"unknown arithmetic kind {kind!r}")
-
-
 def binary_map(t: Endo, s: Endo) -> Endo:
     """(T, S) -> T.S + (I-T).(I-S), the closure map on convexity semigroups."""
     return add(compose(t, s), compose(complement(t), complement(s)))

@@ -4,7 +4,7 @@ the quasiconvex envelope, parameter intervals and epigraph/graph lifts."""
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +24,7 @@ from .rationals import (
     parse_ext,
 )
 from .report import EXHAUSTIVE, SAMPLED, Report
-from .sets import GroundSet, finite_set, is_T_convex
+from .sets import GroundSet, _convexity_report, combo_table, finite_set, is_T_convex
 
 QUASICONVEX = "quasiconvex"
 WRIGHT = "wright"
@@ -58,9 +58,8 @@ class TableFn:
         return dict(zip(self.domain.elements, self.values))
 
     def __call__(self, x: Element) -> ExtValue:
-        try:
-            idx = self.domain.elements.index(x)
-        except ValueError:
+        idx = self.domain.index.get(x.coords)
+        if idx is None or x.group != self.group:
             raise FnError(f"{x} outside the function domain")
         return self.values[idx]
 
@@ -104,10 +103,6 @@ def table_fn(domain: GroundSet, values) -> TableFn:
     )
 
 
-def table_from_callable(domain: GroundSet, fn) -> TableFn:
-    return TableFn(domain, tuple(fn(x) for x in domain.elements))
-
-
 @dataclass(frozen=True)
 class ConvexPair:
     endo: Endo
@@ -144,20 +139,18 @@ class Interval:
         return not self.empty and self.lower <= Fraction(t) <= self.upper
 
     def intersect_lower(self, bound: Fraction) -> "Interval":
-        if self.empty:
+        if self.empty or bound <= self.lower:
             return self
-        lo = max(self.lower, bound)
-        if lo > self.upper:
+        if bound > self.upper:
             return Interval.none()
-        return Interval(False, lo, self.upper)
+        return Interval(False, bound, self.upper)
 
     def intersect_upper(self, bound: Fraction) -> "Interval":
-        if self.empty:
+        if self.empty or bound >= self.upper:
             return self
-        hi = min(self.upper, bound)
-        if self.lower > hi:
+        if self.lower > bound:
             return Interval.none()
-        return Interval(False, self.lower, hi)
+        return Interval(False, self.lower, bound)
 
     def intersect_point(self, t: Fraction) -> "Interval":
         if self.empty or not (self.lower <= t <= self.upper):
@@ -192,6 +185,50 @@ def _violates(kind, t, fx, fy, fz1, fz2):
     return (lhs, rhs) if bad else None
 
 
+def _scaled(values):
+    """Finite rationals times their common denominator, as Python ints."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
+def _first_violation(kind, t, values, rows):
+    """The first (ix, iy) in row-major order at which a table violates the
+    inequality over a combination table, or None.  Pairs whose combination
+    leaves the domain are skipped; the Wright kinds need a T-convex table.
+
+    Finite tables are compared exactly on integers scaled by one common
+    denominator (t = p/q turns the TT kinds into q*f(z) <= p*f(x) +
+    (q-p)*f(y)); tables with -inf values go through _violates."""
+    if kind not in KINDS:
+        raise FnError(f"unknown inequality kind {kind!r}")
+    mirror = kind in (WRIGHT, WRIGHT_AFFINE)
+    if any(v is NEG_INF for v in values):
+        return next((
+            (ix, iy) for ix, row in enumerate(rows) for iy, iz in enumerate(row)
+            if iz is not None and _violates(kind, t, values[ix], values[iy], values[iz],
+                                            values[rows[iy][ix]] if mirror else None)
+        ), None)
+    v = _scaled(values)
+    if kind in (TTCONVEX, TT_AFFINE):
+        p, q = t.numerator, t.denominator
+        lhs, a, b = [q * w for w in v], [p * w for w in v], [(q - p) * w for w in v]
+    else:
+        lhs = a = b = v
+    exact = kind in (WRIGHT_AFFINE, TT_AFFINE)
+    quasi = kind == QUASICONVEX
+    for ix, row in enumerate(rows):
+        ax = a[ix]
+        mirrors = [r[ix] for r in rows] if mirror else None  # (I-T)x + Ty
+        for iy, iz in enumerate(row):
+            if iz is None:
+                continue
+            left = lhs[iz] + lhs[mirrors[iy]] if mirror else lhs[iz]
+            right = max(ax, v[iy]) if quasi else ax + b[iy]
+            if left > right or (exact and left != right):
+                return ix, iy
+    return None
+
+
 def check_inequality(
     kind: str,
     f,
@@ -203,7 +240,12 @@ def check_inequality(
     sampled over quadratic (box) domains.  The domain must be T-convex."""
     t_endo = pair.endo
     g = f.group
-    conv = is_T_convex(f.domain, t_endo, probes=probes, seed=seed)
+    table = isinstance(f, TableFn)
+    if table:
+        rows = combo_table(f.domain, t_endo)
+        conv = _convexity_report(f.domain, t_endo, rows)
+    else:
+        conv = is_T_convex(f.domain, t_endo, probes=probes, seed=seed)
     if not conv.verdict:
         raise FnError(f"domain is not T-convex: witness {conv.witness}")
     it = complement(t_endo)
@@ -217,16 +259,15 @@ def check_inequality(
             fz2 = f(z2)
         return _violates(kind, pair.t, f(x), f(y), f(z1), fz2), z1
 
-    if isinstance(f, TableFn):
-        for x in f.domain.elements:
-            for y in f.domain.elements:
-                bad, z1 = eval_pair(x, y)
-                if bad:
-                    return Report(
-                        f"check:{kind}", False, EXHAUSTIVE,
-                        witness=_ineq_witness(x, y, z1, bad),
-                    )
-        return Report(f"check:{kind}", True, EXHAUSTIVE)
+    if table:
+        hit = _first_violation(kind, pair.t, f.values, rows)
+        if hit is None:
+            return Report(f"check:{kind}", True, EXHAUSTIVE)
+        x, y = (f.domain.elements[i] for i in hit)
+        bad, z1 = eval_pair(x, y)
+        return Report(
+            f"check:{kind}", False, EXHAUSTIVE, witness=_ineq_witness(x, y, z1, bad)
+        )
     rng = random.Random(seed)
     for _ in range(probes):
         x = f.domain.sample(rng)
@@ -345,30 +386,28 @@ def qconv_envelope(f: TableFn, ts) -> TableFn:
     Monotone lowering to a fixed point; values stay in the original value
     lattice, so the iteration terminates.
     """
-    grp = f.group
-    elems = f.domain.elements
-    index = {e: i for i, e in enumerate(elems)}
     combos = []  # (iz, ix, iy)
     for t in ts:
-        rep = is_T_convex(f.domain, t)
+        rows = combo_table(f.domain, t)
+        rep = _convexity_report(f.domain, t, rows)
         if not rep.verdict:
             raise FnError(f"domain not T-convex for {t}: {rep.witness}")
-        it = complement(t)
-        for x in elems:
-            tx = t.apply(x)
-            for y in elems:
-                z = grp.add(tx, it.apply(y))
-                combos.append((index[z], index[x], index[y]))
-    vals = list(f.values)
+        combos.extend(
+            (iz, ix, iy) for ix, row in enumerate(rows) for iy, iz in enumerate(row)
+        )
+    # only max and <= are taken, so values run as their ranks in the order
+    levels = sorted(set(f.values), key=_ext_sort_key)
+    rank = {v: i for i, v in enumerate(levels)}
+    vals = [rank[v] for v in f.values]
     changed = True
     while changed:
         changed = False
         for iz, ix, iy in combos:
-            cap = ext_max(vals[ix], vals[iy])
-            if not ext_le(vals[iz], cap):
+            cap = max(vals[ix], vals[iy])
+            if vals[iz] > cap:
                 vals[iz] = cap
                 changed = True
-    return table_fn(f.domain, vals)
+    return table_fn(f.domain, [levels[r] for r in vals])
 
 
 # -- parameter intervals ---------------------------------------------------
@@ -382,42 +421,41 @@ def convexity_interval(
     if mode not in ("convex", "affine"):
         raise FnError(f"unknown interval mode {mode!r}")
     if isinstance(f, TableFn):
-        has_inf = any(v is NEG_INF for v in f.values)
-        if has_inf:
+        if any(v is NEG_INF for v in f.values):
             if all(v is NEG_INF for v in f.values):
                 return Interval.full()
             raise FnError("mixed -inf/finite values make the interval ill defined")
-        pairs = itertools.product(f.domain.elements, repeat=2)
-    else:
-        rng = random.Random(seed)
-        pairs = (
-            (f.domain.sample(rng), f.domain.sample(rng)) for _ in range(probes)
+        rows = combo_table(f.domain, t_endo)
+        if any(None in row for row in rows):
+            return Interval.none()
+        # the bounds below are ratios of differences, so common scaling cancels
+        v = _scaled(f.values)
+        triples = (
+            (v[ix], v[iy], v[iz])
+            for ix, row in enumerate(rows)
+            for iy, iz in enumerate(row)
         )
-    grp = f.group
-    conv = is_T_convex(f.domain, t_endo, probes=probes, seed=seed)
-    if not conv.verdict:
-        return Interval.none()
-    it = complement(t_endo)
+    else:
+        conv = is_T_convex(f.domain, t_endo, probes=probes, seed=seed)
+        if not conv.verdict:
+            return Interval.none()
+        rng, grp, it = random.Random(seed), f.group, complement(t_endo)
+        pairs = ((f.domain.sample(rng), f.domain.sample(rng)) for _ in range(probes))
+        triples = ((f(x), f(y), f(grp.add(t_endo.apply(x), it.apply(y)))) for x, y in pairs)
     interval = Interval.full()
-    for x, y in pairs:
-        fx, fy = f(x), f(y)
-        fz = f(grp.add(t_endo.apply(x), it.apply(y)))
+    for fx, fy, fz in triples:
         # fz <= t*fx + (1-t)*fy  <=>  t*(fx - fy) >= fz - fy
         if fx == fy:
-            if mode == "convex":
-                if fz > fy:
-                    return Interval.none()
-            else:
-                if fz != fy:
-                    return Interval.none()
+            if fz > fy if mode == "convex" else fz != fy:
+                return Interval.none()
+            continue
+        bound = Fraction(fz - fy, fx - fy)
+        if mode == "affine":
+            interval = interval.intersect_point(bound)
+        elif fx > fy:
+            interval = interval.intersect_lower(bound)
         else:
-            bound = (fz - fy) / (fx - fy)
-            if mode == "affine":
-                interval = interval.intersect_point(bound)
-            elif fx > fy:
-                interval = interval.intersect_lower(bound)
-            else:
-                interval = interval.intersect_upper(bound)
+            interval = interval.intersect_upper(bound)
         if interval.empty:
             return interval
     return interval
@@ -440,40 +478,30 @@ def lift_check(
     value_step = Fraction(value_step)
     if value_step <= 0:
         raise FnError("value grid step must be positive")
-    grp = f.group
-    t_endo, t = pair.endo, pair.t
-    it = complement(t_endo)
+    t = pair.t
     if mode == "epigraph":
-        points = [
-            (x, f(x) + i * value_step)
-            for x in f.domain.elements
-            for i in range(grid_layers + 1)
-        ]
-        direct_kind = TTCONVEX
+        layers, direct_kind = grid_layers + 1, TTCONVEX
     elif mode == "graph":
-        points = [(x, f(x)) for x in f.domain.elements]
-        direct_kind = TT_AFFINE
+        layers, direct_kind = 1, TT_AFFINE
     else:
         raise FnError(f"unknown lift mode {mode!r}")
+    direct = check_inequality(direct_kind, f, pair)  # raises unless D is T-convex
+    rows = combo_table(f.domain, pair.endo)
+    elems = f.domain.elements
+    points = [(ix, v + i * value_step) for ix, v in enumerate(f.values) for i in range(layers)]
     witness = None
-    for (x, u) in points:
-        for (y, v) in points:
-            zx = grp.add(t_endo.apply(x), it.apply(y))
-            zu = t * u + (1 - t) * v
-            if mode == "epigraph":
-                ok = ext_le(f(zx), zu)
-            else:
-                ok = f(zx) == zu
-            if not ok:
+    for ix, u in points:
+        for iy, v in points:
+            fz, zu = f.values[rows[ix][iy]], t * u + (1 - t) * v
+            if not (ext_le(fz, zu) if mode == "epigraph" else fz == zu):
                 witness = {
-                    "lifted_x": [list(map(str, x.coords)), format_ext(u)],
-                    "lifted_y": [list(map(str, y.coords)), format_ext(v)],
+                    "lifted_x": [list(map(str, elems[ix].coords)), format_ext(u)],
+                    "lifted_y": [list(map(str, elems[iy].coords)), format_ext(v)],
                     "combo_value": format_ext(zu),
                 }
                 break
         if witness:
             break
-    direct = check_inequality(direct_kind, f, pair)
     agree = direct.verdict == (witness is None)
     return Report(
         f"lift:{mode}",

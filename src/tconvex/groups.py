@@ -228,21 +228,6 @@ class Element:
     def __repr__(self):
         return f"El{self.coords}"
 
-    def nadic_pairs(self):
-        """Coordinates in lowest N-power form (numerator, exponent)."""
-        g = self.group
-        if g.family != NADIC:
-            raise GroupError("nadic pair form requires an N-adic group")
-        out = []
-        for c in self.coords:
-            exp = 0
-            num = c
-            while num.denominator != 1:
-                num *= g.base
-                exp += 1
-            out.append((int(num), exp))
-        return out
-
 
 # -- group scalars ---------------------------------------------------------
 
@@ -250,39 +235,28 @@ class Element:
 def mu_d(g: GroupSpec, n: int, mode: str = "exact") -> Fraction:
     """Measure of injectivity of x -> n*x: largest mu with
     mu*|x| <= |n*x| for all x; zero when the map is not injective."""
-    if n < 1:
-        raise GroupError("n must be a positive integer")
-    if mode == "exact":
-        if g.metric.kind == ABS:
-            return Fraction(n)
-        if g.is_finite:
-            return _enumerate_ratio(g, n, want_min=True)
-        raise GroupError("no exact formula for this family/metric combination")
-    if mode == "enumerated":
-        if not g.is_finite:
-            raise GroupError("enumerated mode requires a finite carrier")
-        return _enumerate_ratio(g, n, want_min=True)
-    raise GroupError(f"unknown mode {mode!r}")
+    return _dilation_ratio(g, n, mode, want_min=True)
 
 
 def n_norm(g: GroupSpec, n: int, mode: str = "exact") -> Fraction:
     """Smallest c with |n*x| <= c*|x| for all x."""
+    return _dilation_ratio(g, n, mode, want_min=False)
+
+
+def _dilation_ratio(g: GroupSpec, n: int, mode: str, want_min: bool) -> Fraction:
+    """The least (or greatest) |n*x| / |x| over x != 0: n itself for abs
+    metrics in exact mode, otherwise enumerated over a finite carrier."""
     if n < 1:
         raise GroupError("n must be a positive integer")
     if mode == "exact":
         if g.metric.kind == ABS:
             return Fraction(n)
-        if g.is_finite:
-            return _enumerate_ratio(g, n, want_min=False)
-        raise GroupError("no exact formula for this family/metric combination")
-    if mode == "enumerated":
         if not g.is_finite:
-            raise GroupError("enumerated mode requires a finite carrier")
-        return _enumerate_ratio(g, n, want_min=False)
-    raise GroupError(f"unknown mode {mode!r}")
-
-
-def _enumerate_ratio(g: GroupSpec, n: int, want_min: bool) -> Fraction:
+            raise GroupError("no exact formula for this family/metric combination")
+    elif mode != "enumerated":
+        raise GroupError(f"unknown mode {mode!r}")
+    elif not g.is_finite:
+        raise GroupError("enumerated mode requires a finite carrier")
     best = None
     for x in g.elements():
         nx_ = g.dnorm(x)

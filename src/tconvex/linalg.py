@@ -99,14 +99,10 @@ def mat_inv(a):
     return tuple(tuple(row[n:]) for row in m)
 
 
-def solve(a, b):
-    """One solution of A x = b over Q, or None when inconsistent.
-
-    A may be rectangular or singular; free variables are set to zero.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [list(ra) + [bv] for ra, bv in zip(a, b)]
+def _eliminate(m, cols):
+    """Gauss-Jordan elimination in place on the first cols columns of the
+    row lists m; returns the pivot columns in row order."""
+    rows = len(m)
     pivots = []
     r = 0
     for col in range(cols):
@@ -124,7 +120,18 @@ def solve(a, b):
         r += 1
         if r == rows:
             break
-    for i in range(r, rows):
+    return pivots
+
+
+def solve(a, b):
+    """One solution of A x = b over Q, or None when inconsistent.
+
+    A may be rectangular or singular; free variables are set to zero.
+    """
+    cols = len(a[0]) if a else 0
+    m = [list(ra) + [bv] for ra, bv in zip(a, b)]
+    pivots = _eliminate(m, cols)
+    for i in range(len(pivots), len(m)):
         if m[i][cols] != 0:
             return None
     x = [Fraction(0)] * cols
@@ -135,26 +142,9 @@ def solve(a, b):
 
 def nullspace(a):
     """Basis of the right nullspace of A over Q."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+    cols = len(a[0]) if a else 0
     m = [list(row) for row in a]
-    pivots = []
-    r = 0
-    for col in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][col]:
-                factor = m[i][col]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == rows:
-            break
+    pivots = _eliminate(m, cols)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
@@ -226,10 +216,12 @@ def iroot_ceil(k: int, m: int) -> int:
         return 0
     if m == 1:
         return k
-    r = round(k ** (1.0 / m))
-    r = max(r, 1)
-    while r**m >= k:
-        r -= 1
-    while r**m < k:
-        r += 1
-    return r
+    # integer Newton from 2**ceil(bits/m), which is above the root; the
+    # iterates fall strictly until they reach floor(k**(1/m))
+    r = 1 << -(-k.bit_length() // m)
+    while True:
+        s = ((m - 1) * r + k // r ** (m - 1)) // m
+        if s >= r:
+            break
+        r = s
+    return r if r**m == k else r + 1

@@ -82,7 +82,10 @@ def parse_rational(s) -> Fraction:
     """Parse "p/q" or "p" strings (also accepts ints) into a Fraction."""
     if isinstance(s, int):
         return Fraction(s)
-    return Fraction(str(s))
+    try:
+        return Fraction(str(s))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def format_rational(q: Fraction) -> str:

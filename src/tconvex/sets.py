@@ -34,11 +34,14 @@ class GroundSet:
     elements: tuple = ()  # finite representation, deduplicated + sorted
     lower: tuple = ()  # box corners (nadic only)
     upper: tuple = ()
+    # finite sets: coords -> position in elements, built once
+    index: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == FINITE:
             elems = tuple(sorted(set(self.elements), key=lambda e: e.coords))
             object.__setattr__(self, "elements", elems)
+            object.__setattr__(self, "index", {e.coords: i for i, e in enumerate(elems)})
         elif self.kind == BOX:
             if self.group.family != NADIC:
                 raise SetError("box sets are supported on N-adic modules only")
@@ -61,11 +64,8 @@ class GroundSet:
         if x.group != self.group:
             return False
         if self.kind == FINITE:
-            return x in set(self.elements)
+            return x.coords in self.index
         return all(a <= c <= b for a, c, b in zip(self.lower, x.coords, self.upper))
-
-    def contains(self, x: Element) -> bool:
-        return self.__contains__(x)
 
     def sample(self, rng: random.Random, exp_cap: int = 6) -> Element:
         """A uniform-ish member: box corners refined to base^-exp_cap grid."""
@@ -116,26 +116,48 @@ class EndoSet:
 # -- convexity checks ------------------------------------------------------
 
 
+def combo_table(d: GroundSet, t: Endo) -> list:
+    """Row ix, column iy: the index in D of T(x) + (I-T)(y) for the ix-th
+    and iy-th elements of D, or None when that point leaves D.
+
+    T and I-T are applied once per element; the pair sums are reduced on
+    plain coordinate tuples and looked up in the domain's index.
+    """
+    if not d.is_finite:
+        raise SetError("combination tables need an explicit finite domain")
+    g = d.group
+    it = complement(t)
+    images = [t.apply(x).coords for x in d.elements]
+    columns = list(zip(*(it.apply(y).coords for y in d.elements)))
+    mods = g.moduli if g.family == CYCLIC else (None,) * g.rank
+    get = d.index.get
+    rows = []
+    for u in images:
+        sums = [[(a + b) % m for b in col] if m else [a + b for b in col]
+                for a, m, col in zip(u, mods, columns)]
+        rows.append([get(z) for z in zip(*sums)])
+    return rows
+
+
+def _convexity_report(d: GroundSet, t: Endo, rows) -> Report:
+    """The exhaustive is_T_convex report read off a combination table."""
+    for ix, row in enumerate(rows):
+        if None in row:
+            x, y = d.elements[ix], d.elements[row.index(None)]
+            z = d.group.add(t.apply(x), complement(t).apply(y))
+            return Report("is_T_convex", False, EXHAUSTIVE, witness=_pair_witness(x, y, z))
+    return Report("is_T_convex", True, EXHAUSTIVE)
+
+
 def is_T_convex(
     d: GroundSet, t: Endo, probes: int = DEFAULT_PAIR_BUDGET, seed: int = 0
 ) -> Report:
     """T(x) + (I-T)(y) stays in D for all pairs; exhaustive on finite D,
     sampled on boxes."""
+    if d.is_finite:
+        return _convexity_report(d, t, combo_table(d, t))
     g = d.group
     it = complement(t)
-    if d.is_finite:
-        for x in d.elements:
-            tx = t.apply(x)
-            for y in d.elements:
-                z = g.add(tx, it.apply(y))
-                if z not in d:
-                    return Report(
-                        "is_T_convex",
-                        False,
-                        EXHAUSTIVE,
-                        witness=_pair_witness(x, y, z),
-                    )
-        return Report("is_T_convex", True, EXHAUSTIVE)
     rng = random.Random(seed)
     for _ in range(probes):
         x = d.sample(rng)
@@ -323,21 +345,20 @@ def internal_points(
         raise SetError("p must lie in D")
     if not d.is_finite:
         return "inconclusive", None
-    g = d.group
-    it = complement(t)
-    e = {p}
+    e = {d.index[p.coords]}
     inserts = 0
     changed = True
     pairs = [
-        (x, y, g.add(t.apply(x), it.apply(y)))
-        for x in d.elements
-        for y in d.elements
+        (ix, iy, iz)
+        for ix, row in enumerate(combo_table(d, t))
+        for iy, iz in enumerate(row)
+        if iz is not None
     ]
     while changed:
         changed = False
-        for x, y, z in pairs:
-            if z in e:
-                for w in (x, y):
+        for ix, iy, iz in pairs:
+            if iz in e:
+                for w in (ix, iy):
                     if w not in e:
                         e.add(w)
                         inserts += 1
@@ -346,7 +367,7 @@ def internal_points(
                             return "inconclusive", None
     if len(e) == len(d.elements):
         return "internal", None
-    return "not-internal", finite_set(g, e)
+    return "not-internal", finite_set(d.group, [d.elements[i] for i in e])
 
 
 # -- serialization ---------------------------------------------------------

@@ -139,3 +139,12 @@ def test_malformed_payload_exits_two(z5_files):
     fn_path, _, _ = z5_files
     proc = run_cli("spectral", "--input", "-", stdin="{}")
     assert proc.returncode == 2
+
+
+def test_zero_denominator_exits_two():
+    doc = {"group": {"family": "lattice", "rank": 1,
+                     "metric": {"kind": "abs", "weights": ["1/0"]}},
+           "endo": {"matrix": [["2"]]}}
+    proc = run_cli("spectral", "--input", "-", stdin=json.dumps(doc))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr

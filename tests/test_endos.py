@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from tconvex import (
     try_inverse,
     validate_endo,
 )
+from tconvex import linalg
 from tconvex.endos import NoSolution, add, zero_endo
 
 
@@ -93,6 +95,17 @@ def test_contraction_gets_a_rational_bound():
     bound = spectral_radius(scaled_identity(g, Fraction(1, 2)))
     assert not bound.is_nilpotent
     assert bound.upper < 1
+
+
+def test_iroot_ceil_brackets_the_root():
+    rng = random.Random(5)
+    cases = [(10**400 + 1, 2), (3**1000, 3), (3**1000 - 1, 3)]
+    for _ in range(400):
+        cases.append((rng.randrange(1, 10 ** rng.randint(1, 400)), rng.randint(1, 6)))
+    for k, m in cases:
+        r = linalg.iroot_ceil(k, m)
+        assert (r - 1) ** m < k <= r**m
+    assert linalg.iroot_ceil(0, 3) == 0
 
 
 def test_try_inverse():
