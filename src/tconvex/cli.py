@@ -80,7 +80,7 @@ def _load(path: str):
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(IO_ERROR)
 
@@ -192,8 +192,10 @@ def cmd_support(args) -> int:
     p = g.reduce([parse_rational(c) for c in doc["p"]])
     result = rode_support(f, pairs, p)
     if isinstance(result, Infeasible):
+        farkas = None if result.farkas is None else [
+            {"x": x, "weight": w} for x, w in result.farkas.items()]
         _emit({"status": "infeasible", "contradiction": result.contradiction,
-               "note": result.note})
+               "farkas": farkas, "note": result.note})
         return 1
     _emit({"status": "certificate", **result.to_json()})
     return 0

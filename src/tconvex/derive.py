@@ -592,14 +592,21 @@ class SupportCertificate:
 
 @dataclass
 class Infeasible:
-    contradiction: tuple
+    contradiction: tuple  # (y.A, y.b): zero coefficients, negative rhs
     note: str = "window artifact"
+    farkas: dict | None = None  # window point -> weight y_x
 
 
 def rode_support(f: TableFn, pairs, p: Element):
     """Exact affine support of f at p compatible with every pair:
     weights a with a.T = t*a per pair, a(p)+c = f(p) and a+c <= f on
-    the domain, found by exact elimination, or an Infeasible witness."""
+    the domain, or an Infeasible witness.
+
+    The equalities are solved exactly; the free part of (a, c) must then
+    satisfy one inequality per window point, decided by linalg.fm_feasible.
+    Either answer is re-verified from scratch: a certificate pointwise, a
+    Farkas vector y (one weight per window point) by y >= 0, y.A = 0 and
+    y.b < 0 on the inequalities, which `contradiction` recomputes."""
     g = f.group
     if g.family not in (LATTICE, NADIC):
         raise DeriveError("support certificates need a torsion-free carrier")
@@ -643,7 +650,15 @@ def rode_support(f: TableFn, pairs, p: Element):
         constraints.append((coeffs, f(x) - base))
     status, payload = linalg.fm_feasible(constraints, len(basis))
     if status == "infeasible":
-        return Infeasible(payload)
+        y = payload
+        ya = tuple(
+            sum((w * cs[j] for w, (cs, _) in zip(y, constraints)), Fraction(0))
+            for j in range(len(basis))
+        )
+        yb = sum((w * rhs for w, (_, rhs) in zip(y, constraints)), Fraction(0))
+        if len(y) != len(constraints) or min(y, default=0) < 0 or any(ya) or yb >= 0:
+            raise DeriveError("Farkas certificate failed re-verification")
+        return Infeasible((ya, yb), farkas=dict(zip(f.domain.elements, y)))
     w = payload
     v = list(particular)
     for wi, bv in zip(w, basis):

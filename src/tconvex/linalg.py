@@ -1,17 +1,15 @@
 """Exact rational matrix algebra and linear feasibility.
 
-Matrices are tuples of tuples of Fractions.  Everything here is exact;
-the Fourier-Motzkin eliminator returns either a feasible point or the
-contradictory constant constraint it derived.
+Matrices are tuples of tuples of Fractions.  Everything here is exact.
+The feasibility solver is integer Fourier-Motzkin elimination that drops
+dominated parallel rows; it returns either a feasible point or Farkas
+multipliers that prove the system infeasible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def mat(rows):
-    return tuple(tuple(Fraction(e) for e in row) for row in rows)
+from math import gcd, lcm
 
 
 def identity(n):
@@ -159,45 +157,98 @@ def nullspace(a):
 # -- Fourier-Motzkin -------------------------------------------------------
 
 
+def _primitive(cs):
+    """Divide an integer row by the gcd of its entries; returns (row, gcd),
+    with gcd 1 for an all-zero row."""
+    g = gcd(*cs)
+    if g > 1:
+        return tuple(c // g for c in cs), g
+    return tuple(cs), 1
+
+
+def _farkas(how, m):
+    """Expand a row derivation into multipliers over the m input rows."""
+    y = [Fraction(0)] * m
+    stack = [(how, Fraction(1))]
+    while stack:
+        how, w = stack.pop()
+        if len(how) == 2:  # row = scale * input row i
+            i, scale = how
+            y[i] += w * scale
+        else:  # row = (a * lower + b * upper) / g
+            lower, upper, a, b, g = how
+            stack.append((lower, w * a / g))
+            stack.append((upper, w * b / g))
+    return tuple(y)
+
+
 def fm_feasible(constraints, nvars):
     """Decide feasibility of a system of constraints coeffs . x <= rhs.
 
-    constraints: list of (coeffs tuple, rhs Fraction).
-    Returns ("feasible", point) or ("infeasible", contradiction) where the
-    contradiction is a derived constraint 0 <= rhs with rhs < 0.
+    constraints: list of (coeffs tuple, rhs) with int or Fraction entries.
+    Returns ("feasible", point) or ("infeasible", y), where y >= 0 holds
+    one multiplier per input constraint with y.A = 0 and y.b < 0.
+
+    Exact integer Fourier-Motzkin: each row is scaled to a primitive
+    integer coefficient tuple (the rhs stays a Fraction), and of parallel
+    rows only the one with the smallest rhs is kept, since it implies the
+    others (Dantzig & Eaves 1973).  Each stage's polyhedron is therefore
+    unchanged, and so is every fibre interval of the back-substitution,
+    which takes the midpoint of the interval or its finite end.  The last
+    variable needs no pairs: its rows reduce to one lower and one upper
+    bound.  Each row carries its derivation, from which an infeasible
+    system's Farkas multipliers are expanded.
     """
-    layers = []  # per eliminated variable: constraints mentioning it
-    current = [(tuple(Fraction(c) for c in cs), Fraction(r)) for cs, r in constraints]
+    rows = {}  # primitive coeffs -> (rhs, derivation)
+    for i, (cs, rhs) in enumerate(constraints):
+        den = lcm(*(c.denominator for c in cs))
+        key, g = _primitive([c.numerator * (den // c.denominator) for c in cs])
+        scale = Fraction(den, g)
+        rhs = scale * Fraction(rhs)
+        kept = rows.get(key)
+        if kept is None or rhs < kept[0]:
+            rows[key] = (rhs, (i, scale))
+    layers = []  # per eliminated variable: the rows bounding it
     for var in range(nvars):
-        lower, upper, rest = [], [], []
-        for cs, rhs in current:
-            if cs[var] > 0:
-                upper.append((cs, rhs))
-            elif cs[var] < 0:
-                lower.append((cs, rhs))
+        lower, upper, rest = [], [], {}
+        for key, (rhs, how) in rows.items():
+            if key[var] > 0:
+                upper.append((key, rhs, how))
+            elif key[var] < 0:
+                lower.append((key, rhs, how))
             else:
-                rest.append((cs, rhs))
+                rest[key] = (rhs, how)
         layers.append((var, lower, upper))
-        new = list(rest)
-        for lcs, lrhs in lower:
-            for ucs, urhs in upper:
-                # eliminate var: scale so coefficients cancel
-                lc, uc = -lcs[var], ucs[var]
-                cs = tuple(uc * a + lc * b for a, b in zip(lcs, ucs))
-                new.append((cs, uc * lrhs + lc * urhs))
-        current = new
-    for cs, rhs in current:
-        if rhs < 0:
-            return "infeasible", (cs, rhs)
+        rows = rest
+        if var == nvars - 1:
+            # both lists hold at most the one primitive row -x or x
+            if lower and upper and lower[0][1] + upper[0][1] < 0:
+                return "infeasible", _farkas(
+                    (lower[0][2], upper[0][2], 1, 1, 1), len(constraints))
+            break
+        for lkey, lrhs, lhow in lower:
+            lc = -lkey[var]
+            for ukey, urhs, uhow in upper:
+                uc = ukey[var]
+                key, g = _primitive([uc * a + lc * b for a, b in zip(lkey, ukey)])
+                rhs = uc * lrhs + lc * urhs
+                if g != 1:
+                    rhs /= g
+                kept = rows.get(key)
+                if kept is None or rhs < kept[0]:
+                    rows[key] = (rhs, (lhow, uhow, uc, lc, g))
+    zero = rows.get((0,) * nvars)
+    if zero is not None and zero[0] < 0:
+        return "infeasible", _farkas(zero[1], len(constraints))
     # back-substitute from the last eliminated variable to the first
     point = [Fraction(0)] * nvars
     for var, lower, upper in reversed(layers):
         lo, hi = None, None
-        for cs, rhs in lower:
-            bound = (rhs - sum(c * point[i] for i, c in enumerate(cs) if i != var)) / cs[var]
+        for key, rhs, _ in lower:
+            bound = (rhs - sum(key[i] * point[i] for i in range(var + 1, nvars))) / key[var]
             lo = bound if lo is None else max(lo, bound)
-        for cs, rhs in upper:
-            bound = (rhs - sum(c * point[i] for i, c in enumerate(cs) if i != var)) / cs[var]
+        for key, rhs, _ in upper:
+            bound = (rhs - sum(key[i] * point[i] for i in range(var + 1, nvars))) / key[var]
             hi = bound if hi is None else min(hi, bound)
         if lo is None and hi is None:
             point[var] = Fraction(0)

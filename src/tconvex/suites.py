@@ -254,10 +254,6 @@ def _sq_fn(g: GroupSpec, hi=Fraction(1)):
     return QuadraticFn(dom, ((Fraction(1),),), (Fraction(0),), Fraction(0))
 
 
-def _case_payload(**kwargs):
-    return dict(kwargs)
-
-
 def _pair_payload(g, pair: ConvexPair):
     return {
         "group": serialize_group(g),
@@ -293,14 +289,14 @@ def suite_norm_axioms(rng, caps, camp: Campaign):
                 ok, witness = False, {"x": str(x.coords), "y": str(y.coords)}
                 break
         camp.add(f"norm-axioms/{gi}", ok, witness,
-                 alarm_payload=_case_payload(group=serialize_group(g)))
+                 alarm_payload=dict(group=serialize_group(g)))
 
 
 def suite_mu_bounds(rng, caps, camp: Campaign):
     ngroups = max(2, caps["cases"] // 20)
     for gi in range(ngroups):
         g = gen_cyclic_group(rng, caps["max_order"], caps["max_rank"])
-        payload = _case_payload(group=serialize_group(g))
+        payload = dict(group=serialize_group(g))
         elems = [x for x in g.elements() if g.dnorm(x) != 0]
         ok = mu_d(g, 1, "enumerated") == 1 and n_norm(g, 1, "enumerated") == 1
         camp.add(f"mu-unit/{gi}", ok, alarm_payload=payload)
@@ -332,7 +328,7 @@ def suite_mu_bounds(rng, caps, camp: Campaign):
                 if not (mu * nx <= g.dnorm(g.scalar_mul(n, x)) <= nn * nx):
                     ok = False
         camp.add(f"mu-infinite/{gi}", ok,
-                 alarm_payload=_case_payload(group=serialize_group(g)))
+                 alarm_payload=dict(group=serialize_group(g)))
 
 
 # -- endo_algebra suites ---------------------------------------------------
@@ -342,7 +338,7 @@ def suite_ring_laws(rng, caps, camp: Campaign):
     for i in range(caps["cases"]):
         g = gen_cyclic_group(rng, caps["max_order"], caps["max_rank"])
         t, s, r = (gen_endo(rng, g) for _ in range(3))
-        payload = _case_payload(
+        payload = dict(
             group=serialize_group(g),
             endos=[serialize_endo(e) for e in (t, s, r)],
         )
@@ -365,7 +361,7 @@ def suite_spectral_neumann(rng, caps, camp: Campaign):
     for i in range(caps["cases"]):
         m = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
         t = validate_endo(g, m)
-        payload = _case_payload(group=serialize_group(g), endo=serialize_endo(t))
+        payload = dict(group=serialize_group(g), endo=serialize_endo(t))
         if spectral_radius(t).is_nilpotent:
             try:
                 inv = neumann_inverse(t)
@@ -383,8 +379,8 @@ def suite_spectral_neumann(rng, caps, camp: Campaign):
             ok = compose(complement(t), inv).key() == identity_endo(gc).key()
             camp.add(
                 f"neumann-cyclic/{i}", ok,
-                alarm_payload=_case_payload(group=serialize_group(gc),
-                                            endo=serialize_endo(t)),
+                alarm_payload=dict(group=serialize_group(gc),
+                                   endo=serialize_endo(t)),
             )
         else:
             camp.add(f"neumann-cyclic-skip/{i}", True)
@@ -397,7 +393,7 @@ def suite_midpoint_convexity(rng, caps, camp: Campaign):
         g = cyclic_group(m)
         t = multiplication_endo(g, t_scalar)
         two_t_minus_i = multiplication_endo(g, (2 * t_scalar - 1) % m)
-        payload = _case_payload(group=serialize_group(g), endo=serialize_endo(t))
+        payload = dict(group=serialize_group(g), endo=serialize_endo(t))
         if not spectral_radius(two_t_minus_i).is_nilpotent:
             camp.add(f"midpoint/{label}/cert", False, alarm_payload=payload)
             continue
@@ -440,8 +436,8 @@ def suite_semigroup_combination(rng, caps, camp: Campaign):
         td = enumerate_TD(d)
         keys = td.keys()
         members = list(td)
-        payload = _case_payload(group=serialize_group(g),
-                                domain=[str(e.coords) for e in d.elements])
+        payload = dict(group=serialize_group(g),
+                       domain=[str(e.coords) for e in d.elements])
         if len(members) ** 3 <= per_domain:
             triples = list(itertools.product(members, repeat=3))
         else:
@@ -472,8 +468,8 @@ def suite_closure_generated(rng, caps, camp: Campaign):
         g, d = _small_group_and_domain(rng, caps)
         td = enumerate_TD(d)
         closed = closure_generate(g, list(td), budget=4 * max(1, len(td)) + 16)
-        payload = _case_payload(group=serialize_group(g),
-                                domain=[str(e.coords) for e in d.elements])
+        payload = dict(group=serialize_group(g),
+                       domain=[str(e.coords) for e in d.elements])
         if closed.truncated:
             camp.add(f"generated/{i}/truncated", True)
             continue
@@ -495,7 +491,7 @@ def suite_radstrom(rng, caps, camp: Campaign):
         a = finite_set(g, a_pts)
         c = finite_set(g, c_pts)
         rep = radstrom_check(a, b, c, 2)
-        payload = _case_payload(
+        payload = dict(
             group=serialize_group(g),
             A=[[format_rational(Fraction(v)) for v in e.coords] for e in a.elements],
             B={"lower": ["0"], "upper": [format_rational(hi)]},
@@ -515,7 +511,7 @@ def suite_radstrom(rng, caps, camp: Campaign):
             ):
                 expected = False
         camp.add(f"radstrom-finite/{i}", expected,
-                 alarm_payload=_case_payload(group=serialize_group(gc)))
+                 alarm_payload=dict(group=serialize_group(gc)))
 
 
 # -- convex_functions suites -----------------------------------------------
@@ -532,8 +528,8 @@ def suite_prop_ls(rng, caps, camp: Campaign):
         levels_ok = all(
             is_T_convex(level_set(f, c), t).verdict for c in set(f.values)
         )
-        payload = _case_payload(group=serialize_group(g), fn=serialize_fn(f),
-                                endo=serialize_endo(t), kind=QUASICONVEX)
+        payload = dict(group=serialize_group(g), fn=serialize_fn(f),
+                       endo=serialize_endo(t), kind=QUASICONVEX)
         camp.add(f"prop-ls/fn/{i}", qc == levels_ok, alarm_payload=payload)
         elems = list(g.elements())
         s = finite_set(g, rng.sample(elems, rng.randint(1, len(elems))))
@@ -542,7 +538,7 @@ def suite_prop_ls(rng, caps, camp: Campaign):
         chi_qc = check_inequality(QUASICONVEX, chi, pair).verdict
         camp.add(
             f"prop-ls/set/{i}", s_conv == chi_qc,
-            alarm_payload=_case_payload(
+            alarm_payload=dict(
                 group=serialize_group(g), endo=serialize_endo(t),
                 subset=[str(e.coords) for e in s.elements]),
         )
@@ -591,7 +587,7 @@ def suite_envelope_oracle(rng, caps, camp: Campaign):
     env5 = qconv_envelope(f5, [multiplication_endo(g5, 3)])
     camp.add(
         "envelope/z5-hand", all(v == 0 for v in env5.values),
-        alarm_payload=_case_payload(group=serialize_group(g5), fn=serialize_fn(f5)),
+        alarm_payload=dict(group=serialize_group(g5), fn=serialize_fn(f5)),
     )
     for i in range(caps["cases"]):
         order = rng.choice([3, 3, 4, 4, 5, 6])
@@ -614,7 +610,7 @@ def suite_envelope_oracle(rng, caps, camp: Campaign):
             f"envelope/{i}", ok,
             None if ok else {"env": [str(v) for v in env.values],
                              "oracle": [str(v) for v in oracle.values]},
-            alarm_payload=_case_payload(
+            alarm_payload=dict(
                 group=serialize_group(g), fn=serialize_fn(f),
                 endos=[serialize_endo(t) for t in ts]),
         )
@@ -676,7 +672,7 @@ def _composite_suite(kind, tag):
                 ok = ok and _cross_validate(kind, g, vals, da, derived.pair.t, ok)
             camp.add(
                 f"{tag}/{produced}", ok, None,
-                alarm_payload=_case_payload(
+                alarm_payload=dict(
                     group=serialize_group(g),
                     fn=serialize_fn(_table(g, vals)),
                     endo=serialize_endo(derived.pair.endo),
@@ -724,7 +720,7 @@ def _pointwise_suite(kind, tag, with_sum_scale, with_sup):
             m = rng.randint(3, 8)
             g = cyclic_group(m)
             a, t, fams = _scalar_family(rng, m, kind, 3)
-            payload = _case_payload(
+            payload = dict(
                 group=serialize_group(g),
                 endo=serialize_endo(multiplication_endo(g, a)),
                 t=format_rational(t), kind=kind,
@@ -782,19 +778,19 @@ def suite_closure_quasi(rng, caps, camp: Campaign):
         camp.add(
             f"quasi/diamond/{i}",
             check_inequality(QUASICONVEX, conv, pair).verdict,
-            alarm_payload=_case_payload(group=serialize_group(g),
-                                        fns=[serialize_fn(f1), serialize_fn(f2)],
-                                        pair=_pair_payload(g, pair)),
+            alarm_payload=dict(group=serialize_group(g),
+                               fns=[serialize_fn(f1), serialize_fn(f2)],
+                               pair=_pair_payload(g, pair)),
         )
         amap = multiplication_endo(g, rng.randrange(m))  # commutes with pair
         pushed = transport(f1, amap, "pushforward")
         camp.add(
             f"quasi/transport/{i}",
             check_inequality(QUASICONVEX, pushed, pair).verdict,
-            alarm_payload=_case_payload(group=serialize_group(g),
-                                        fn=serialize_fn(f1),
-                                        map=serialize_endo(amap),
-                                        pair=_pair_payload(g, pair)),
+            alarm_payload=dict(group=serialize_group(g),
+                               fn=serialize_fn(f1),
+                               map=serialize_endo(amap),
+                               pair=_pair_payload(g, pair)),
         )
 
 
@@ -813,7 +809,7 @@ def suite_closure_convex(rng, caps, camp: Campaign):
         camp.add(
             f"convex/infconv/{i}",
             check_inequality(TTCONVEX, conv, pair).verdict,
-            alarm_payload=_case_payload(
+            alarm_payload=dict(
                 group=serialize_group(g),
                 fns=[serialize_fn(_table(g, v)) for v in fams[:2]],
                 pair=_pair_payload(g, pair)),
@@ -825,7 +821,7 @@ def suite_closure_affine(rng, caps, camp: Campaign):
         m = rng.randint(3, 8)
         g = cyclic_group(m)
         a, t, fams = _scalar_family(rng, m, TT_AFFINE, 3)
-        payload = _case_payload(
+        payload = dict(
             group=serialize_group(g),
             endo=serialize_endo(multiplication_endo(g, a)),
             t=format_rational(t), kind=TT_AFFINE,
@@ -867,7 +863,7 @@ def suite_hconv(rng, caps, camp: Campaign):
         ok = base_ok and f(g.reduce([combo])) <= val
         camp.add(
             f"hconv/{i}", ok,
-            alarm_payload=_case_payload(
+            alarm_payload=dict(
                 t=format_rational(t),
                 weights=[format_rational(w) for w in weights]),
         )
@@ -891,9 +887,9 @@ def suite_wright_grid(rng, caps, camp: Campaign):
             continue
         x = g.reduce([Fraction(rng.randint(0, 8), 8)])
         y = g.reduce([Fraction(rng.randint(0, 9), 9)])
-        payload = _case_payload(t=format_rational(t), n=n, k=k,
-                                x=format_rational(x.coords[0]),
-                                y=format_rational(y.coords[0]))
+        payload = dict(t=format_rational(t), n=n, k=k,
+                       x=format_rational(x.coords[0]),
+                       y=format_rational(y.coords[0]))
         try:
             rep = u_grid_verify(f, t_endo, n, k, x, y)
             camp.add(f"grid/{i}", rep.verdict, rep.witness, alarm_payload=payload)
@@ -922,7 +918,7 @@ def suite_last_coefficients(rng, caps, camp: Campaign):
         and anchor.may_alarm
     )
     camp.add("last/hand", ok, audit=anchor.audit,
-             alarm_payload=_case_payload(t=["1/2", "1/2"], k=1))
+             alarm_payload=dict(t=["1/2", "1/2"], k=1))
     for i in range(caps["cases"]):
         n = rng.randint(1, 5)
         k = rng.randint(1, n)
@@ -940,7 +936,7 @@ def suite_last_coefficients(rng, caps, camp: Campaign):
         )
         g = nadic_group(base)
         pairs = [ConvexPair(scaled_identity(g, t), t) for t in ts]
-        payload = _case_payload(base=base, k=k, t=[format_rational(t) for t in ts])
+        payload = dict(base=base, k=k, t=[format_rational(t) for t in ts])
         try:
             derived = last_derive(pairs, k)
         except (DeriveError, NotInvertible) as exc:
@@ -987,9 +983,9 @@ def suite_twa_roundtrip(rng, caps, camp: Campaign):
         )
         camp.add(
             f"twa/{i}", ok, dec.residual,
-            alarm_payload=_case_payload(q=format_rational(q),
-                                        b=format_rational(b),
-                                        c=format_rational(c)),
+            alarm_payload=dict(q=format_rational(q),
+                               b=format_rational(b),
+                               c=format_rational(c)),
         )
         if i % 5 == 0:
             cubic = table_fn(
@@ -997,7 +993,7 @@ def suite_twa_roundtrip(rng, caps, camp: Campaign):
             )
             dec3 = twa_decompose(cubic)
             camp.add(f"twa-cubic/{i}", not dec3.ok and dec3.residual is not None,
-                     alarm_payload=_case_payload(kind="cubic"))
+                     alarm_payload=dict(kind="cubic"))
 
 
 def suite_rode_support(rng, caps, camp: Campaign):
@@ -1015,10 +1011,10 @@ def suite_rode_support(rng, caps, camp: Campaign):
                 f"rode/{i}/p={p.coords[0]}", ok,
                 None if ok else {"contradiction": str(result.contradiction)},
                 audit=result.audit if ok else (),
-                alarm_payload=_case_payload(q=format_rational(q),
-                                            b=format_rational(b),
-                                            c=format_rational(c),
-                                            p=str(p.coords[0])),
+                alarm_payload=dict(q=format_rational(q),
+                                   b=format_rational(b),
+                                   c=format_rational(c),
+                                   p=str(p.coords[0])),
             )
 
 

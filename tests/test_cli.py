@@ -102,6 +102,22 @@ def test_support_certificate(tmp_path):
     assert out["A"] == ["4"] and out["c"] == "-4"
 
 
+def test_support_infeasible_carries_farkas(tmp_path):
+    from tconvex import finite_set, lattice_group
+
+    g = lattice_group(1)
+    window = finite_set(g, [g.reduce([i]) for i in range(-4, 5)])
+    f = table_fn(window, [-x * x for x in range(-4, 5)])
+    doc = {"group": serialize_group(g), "fn": serialize_fn(f), "p": ["0"]}
+    proc = run_cli("support", "--input", "-", stdin=json.dumps(doc))
+    assert proc.returncode == 1
+    out = json.loads(proc.stdout)
+    assert out["status"] == "infeasible" and out["note"] == "window artifact"
+    assert out["contradiction"] == [["0"], "-8"]
+    weights = {x[0]: w for x, w in ((e["x"], e["weight"]) for e in out["farkas"])}
+    assert weights == {str(i): "1/4" if abs(i) == 4 else "0" for i in range(-4, 5)}
+
+
 def test_suite_exit_codes():
     proc = run_cli("suite", "--id", "empty", "--seed", "3")
     assert proc.returncode == 0
@@ -147,4 +163,11 @@ def test_zero_denominator_exits_two():
            "endo": {"matrix": [["2"]]}}
     proc = run_cli("spectral", "--input", "-", stdin=json.dumps(doc))
     assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_deeply_nested_json_exits_three():
+    proc = run_cli("spectral", "--input", "-", stdin="[" * 100000)
+    assert proc.returncode == 3
+    assert "cannot read" in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -176,3 +177,65 @@ def test_rode_support_infeasible_on_concave_table():
     result = rode_support(f, [], g.zero())
     assert isinstance(result, Infeasible)
     assert result.note == "window artifact"
+    # the Farkas vector: y >= 0 over the window, and summing y_x times
+    # a.x + c <= f(x) with a(0) + c = f(0) gives 0 <= y.f - y(1) f(0) < 0
+    y = result.farkas
+    assert list(y) == list(window.elements)
+    assert all(w >= 0 for w in y.values())
+    assert sum(w * x.coords[0] for x, w in y.items()) == 0
+    slack = sum(w * (f(x) - f(g.zero())) for x, w in y.items())
+    assert slack < 0
+    assert result.contradiction == ((Fraction(0),), slack)
+
+
+def test_rode_support_rejects_a_false_farkas_vector(monkeypatch):
+    from tconvex import linalg
+
+    g = lattice_group(1)
+    window = finite_set(g, [g.reduce([i]) for i in range(-4, 5)])
+    f = table_fn(window, [x * x for x in range(-4, 5)])
+    # the system is feasible, so no y >= 0 can pass the re-verification
+    monkeypatch.setattr(linalg, "fm_feasible",
+                        lambda cs, n: ("infeasible", (Fraction(1),) * len(cs)))
+    with pytest.raises(DeriveError, match="Farkas"):
+        rode_support(f, [], g.reduce([2]))
+
+
+def _kinked_quadratic(q, b, c, half, p):
+    """x.Q.x + b.x + c + 3|x_0| + max(0, x_last) on the window [-half, half]^r
+    of Z^r: convex, with kinks through the centre."""
+    r = len(b)
+    g = lattice_group(r)
+    pts = list(itertools.product(range(-half, half + 1), repeat=r))
+    window = finite_set(g, [g.reduce(list(x)) for x in pts])
+    vals = [sum(x[i] * q[i][j] * x[j] for i in range(r) for j in range(r))
+            + sum(bi * xi for bi, xi in zip(b, x)) + c + 3 * abs(x[0]) + max(0, x[-1])
+            for x in pts]
+    return table_fn(window, vals), g.reduce(list(p))
+
+
+Q2, B2 = [[2, 1], [1, 3]], [1, -2]
+Q3, B3 = [[2, 1, 0], [1, 3, -1], [0, -1, 2]], [1, -1, 2]
+
+
+@pytest.mark.parametrize("case, a, c", [
+    ((Q2, B2, 3, 3, (0, 0)), (1, Fraction(-3, 2)), 3),
+    ((Q3, B3, -1, 1, (0, 0, 0)), (1, -1, Fraction(5, 2)), -1),
+    ((Q3, B3, -1, 1, (1, -1, 1)), (5, -5, 7), -3),
+])
+def test_rode_support_rank_two_and_three(case, a, c):
+    # (a, c) as plain Fourier-Motzkin found them: the midpoint rule on
+    # each fibre interval, which dropping dominated rows leaves alone
+    f, p = _kinked_quadratic(*case)
+    cert = rode_support(f, [], p)
+    assert not isinstance(cert, Infeasible)
+    assert (cert.a, cert.c) == (tuple(Fraction(w) for w in a), Fraction(c))
+
+
+def test_rode_support_five_cube_centre():
+    f, p = _kinked_quadratic(Q3, B3, -1, 2, (0, 0, 0))
+    cert = rode_support(f, [], p)
+    assert not isinstance(cert, Infeasible)
+    assert len(f.domain.elements) == 125
+    assert cert.value(p) == f(p)
+    assert all(cert.value(x) <= f(x) for x in f.domain.elements)
