@@ -363,7 +363,7 @@ def affine_decompose(a: TableFn, pairs) -> AffineDecomposition:
     for p in pairs:
         hit = _first_violation(TT_AFFINE, p.t, a.values, combo_table(dom, p.endo))
         if hit is not None:
-            x, y = (dom.elements[i] for i in hit)
+            x, y = (dom.elements[i] for i in hit[:2])
             raise DeriveError(f"input is not (T,t)-affine at {x.coords}, {y.coords}")
     c = a(zero)
     table = {x.coords: a(x) - c for x in dom.elements}

@@ -56,9 +56,6 @@ class Endo:
             )
         return self.matrix
 
-    def same_as(self, other: "Endo") -> bool:
-        return self.group == other.group and self.key() == other.key()
-
 
 def validate_endo(g: GroupSpec, matrix) -> Endo:
     """Check the matrix defines a homomorphism on representatives."""

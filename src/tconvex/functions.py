@@ -5,7 +5,6 @@ the quasiconvex envelope, parameter intervals and epigraph/graph lifts."""
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +23,13 @@ from .rationals import (
     parse_ext,
 )
 from .report import EXHAUSTIVE, SAMPLED, Report
-from .sets import GroundSet, _convexity_report, combo_table, finite_set, is_T_convex
+from .sets import (
+    GroundSet,
+    _convexity_report,
+    _sampled_convexity,
+    combo_table,
+    finite_set,
+)
 
 QUASICONVEX = "quasiconvex"
 WRIGHT = "wright"
@@ -53,9 +58,6 @@ class TableFn:
     @property
     def group(self):
         return self.domain.group
-
-    def value_map(self):
-        return dict(zip(self.domain.elements, self.values))
 
     def __call__(self, x: Element) -> ExtValue:
         idx = self.domain.index.get(x.coords)
@@ -99,7 +101,7 @@ class QuadraticFn:
 
 def table_fn(domain: GroundSet, values) -> TableFn:
     return TableFn(
-        domain, tuple(v if v is NEG_INF else Fraction(v) for v in values)
+        domain, tuple([v if v is NEG_INF else Fraction(v) for v in values])
     )
 
 
@@ -186,15 +188,19 @@ def _violates(kind, t, fx, fy, fz1, fz2):
 
 
 def _scaled(values):
-    """Finite rationals times their common denominator, as Python ints."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values]
+    """The common denominator of finite rationals and the values times it,
+    as Python ints."""
+    den = math.lcm(*[v.denominator for v in values])
+    if den == 1:
+        return den, [v.numerator for v in values]
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def _first_violation(kind, t, values, rows):
     """The first (ix, iy) in row-major order at which a table violates the
-    inequality over a combination table, or None.  Pairs whose combination
-    leaves the domain are skipped; the Wright kinds need a T-convex table.
+    inequality over a combination table, with the (lhs, rhs) sides that
+    _violates gives there, or None.  Pairs whose combination leaves the
+    domain are skipped; the Wright kinds need a T-convex table.
 
     Finite tables are compared exactly on integers scaled by one common
     denominator (t = p/q turns the TT kinds into q*f(z) <= p*f(x) +
@@ -203,15 +209,20 @@ def _first_violation(kind, t, values, rows):
         raise FnError(f"unknown inequality kind {kind!r}")
     mirror = kind in (WRIGHT, WRIGHT_AFFINE)
     if any(v is NEG_INF for v in values):
-        return next((
-            (ix, iy) for ix, row in enumerate(rows) for iy, iz in enumerate(row)
-            if iz is not None and _violates(kind, t, values[ix], values[iy], values[iz],
-                                            values[rows[iy][ix]] if mirror else None)
-        ), None)
-    v = _scaled(values)
+        for ix, row in enumerate(rows):
+            for iy, iz in enumerate(row):
+                if iz is None:
+                    continue
+                sides = _violates(kind, t, values[ix], values[iy], values[iz],
+                                  values[rows[iy][ix]] if mirror else None)
+                if sides:
+                    return ix, iy, sides
+        return None
+    den, v = _scaled(values)
     if kind in (TTCONVEX, TT_AFFINE):
         p, q = t.numerator, t.denominator
         lhs, a, b = [q * w for w in v], [p * w for w in v], [(q - p) * w for w in v]
+        den *= q
     else:
         lhs = a = b = v
     exact = kind in (WRIGHT_AFFINE, TT_AFFINE)
@@ -225,7 +236,7 @@ def _first_violation(kind, t, values, rows):
             left = lhs[iz] + lhs[mirrors[iy]] if mirror else lhs[iz]
             right = max(ax, v[iy]) if quasi else ax + b[iy]
             if left > right or (exact and left != right):
-                return ix, iy
+                return ix, iy, (Fraction(left, den), Fraction(right, den))
     return None
 
 
@@ -239,40 +250,27 @@ def check_inequality(
     """Check one convexity inequality; exhaustive over table domains,
     sampled over quadratic (box) domains.  The domain must be T-convex."""
     t_endo = pair.endo
-    g = f.group
-    table = isinstance(f, TableFn)
-    if table:
+    if isinstance(f, TableFn):
         rows = combo_table(f.domain, t_endo)
         conv = _convexity_report(f.domain, t_endo, rows)
-    else:
-        conv = is_T_convex(f.domain, t_endo, probes=probes, seed=seed)
-    if not conv.verdict:
-        raise FnError(f"domain is not T-convex: witness {conv.witness}")
-    it = complement(t_endo)
-    needs_mirror = kind in (WRIGHT, WRIGHT_AFFINE)
-
-    def eval_pair(x, y):
-        z1 = g.add(t_endo.apply(x), it.apply(y))
-        fz2 = None
-        if needs_mirror:
-            z2 = g.add(it.apply(x), t_endo.apply(y))
-            fz2 = f(z2)
-        return _violates(kind, pair.t, f(x), f(y), f(z1), fz2), z1
-
-    if table:
+        if not conv.verdict:
+            raise FnError(f"domain is not T-convex: witness {conv.witness}")
         hit = _first_violation(kind, pair.t, f.values, rows)
         if hit is None:
             return Report(f"check:{kind}", True, EXHAUSTIVE)
-        x, y = (f.domain.elements[i] for i in hit)
-        bad, z1 = eval_pair(x, y)
+        ix, iy, sides = hit
+        x, y, z = (f.domain.elements[i] for i in (ix, iy, rows[ix][iy]))
         return Report(
-            f"check:{kind}", False, EXHAUSTIVE, witness=_ineq_witness(x, y, z1, bad)
+            f"check:{kind}", False, EXHAUSTIVE, witness=_ineq_witness(x, y, z, sides)
         )
-    rng = random.Random(seed)
-    for _ in range(probes):
-        x = f.domain.sample(rng)
-        y = f.domain.sample(rng)
-        bad, z1 = eval_pair(x, y)
+    conv, triples = _sampled_convexity(f.domain, t_endo, probes, seed)
+    if not conv.verdict:
+        raise FnError(f"domain is not T-convex: witness {conv.witness}")
+    g, it = f.group, complement(t_endo)
+    needs_mirror = kind in (WRIGHT, WRIGHT_AFFINE)
+    for x, y, z1 in triples:
+        fz2 = f(g.add(it.apply(x), t_endo.apply(y))) if needs_mirror else None
+        bad = _violates(kind, pair.t, f(x), f(y), f(z1), fz2)
         if bad:
             return Report(
                 f"check:{kind}", False, SAMPLED, witness=_ineq_witness(x, y, z1, bad)
@@ -429,19 +427,17 @@ def convexity_interval(
         if any(None in row for row in rows):
             return Interval.none()
         # the bounds below are ratios of differences, so common scaling cancels
-        v = _scaled(f.values)
+        _, v = _scaled(f.values)
         triples = (
             (v[ix], v[iy], v[iz])
             for ix, row in enumerate(rows)
             for iy, iz in enumerate(row)
         )
     else:
-        conv = is_T_convex(f.domain, t_endo, probes=probes, seed=seed)
+        conv, pairs = _sampled_convexity(f.domain, t_endo, probes, seed)
         if not conv.verdict:
             return Interval.none()
-        rng, grp, it = random.Random(seed), f.group, complement(t_endo)
-        pairs = ((f.domain.sample(rng), f.domain.sample(rng)) for _ in range(probes))
-        triples = ((f(x), f(y), f(grp.add(t_endo.apply(x), it.apply(y)))) for x, y in pairs)
+        triples = ((f(x), f(y), f(z)) for x, y, z in pairs)
     interval = Interval.full()
     for fx, fy, fz in triples:
         # fz <= t*fx + (1-t)*fy  <=>  t*(fx - fy) >= fz - fy

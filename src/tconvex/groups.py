@@ -34,18 +34,6 @@ class GroupError(ValueError):
     pass
 
 
-def smooth_part(n: int, base: int) -> int:
-    """Largest divisor of n composed only of primes dividing base."""
-    n = abs(n)
-    result = 1
-    g = math.gcd(n, base)
-    while g > 1:
-        n //= g
-        result *= g
-        g = math.gcd(n, base)
-    return result
-
-
 def is_smooth(n: int, base: int) -> bool:
     """True iff every prime factor of n divides base (n != 0)."""
     n = abs(n)
@@ -306,6 +294,15 @@ def serialize_group(g: GroupSpec) -> dict:
     return {"family": "nadic", "base": g.base, "rank": g.rank, "metric": metric}
 
 
+def _json_int(data: dict, name: str) -> int:
+    """A field that must be a JSON integer: floats, bools and strings are
+    rejected rather than truncated."""
+    value = data[name]
+    if type(value) is not int:
+        raise GroupError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def deserialize_group(data: dict) -> GroupSpec:
     metric = MetricSpec(
         kind=data["metric"]["kind"],
@@ -313,12 +310,16 @@ def deserialize_group(data: dict) -> GroupSpec:
     )
     family = data["family"]
     if family == "cyclic":
-        return GroupSpec(family=CYCLIC, metric=metric, moduli=tuple(data["moduli"]))
+        moduli = data["moduli"]
+        if not isinstance(moduli, list) or any(type(m) is not int for m in moduli):
+            raise GroupError(f"moduli must be a list of integers, got {moduli!r}")
+        return GroupSpec(family=CYCLIC, metric=metric, moduli=tuple(moduli))
     if family == "lattice":
-        return GroupSpec(family=LATTICE, metric=metric, rank=int(data["rank"]))
+        return GroupSpec(family=LATTICE, metric=metric, rank=_json_int(data, "rank"))
     if family == "nadic":
         return GroupSpec(
-            family=NADIC, metric=metric, base=int(data["base"]), rank=int(data["rank"])
+            family=NADIC, metric=metric, base=_json_int(data, "base"),
+            rank=_json_int(data, "rank"),
         )
     raise GroupError(f"unknown family {family!r}")
 

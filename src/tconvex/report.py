@@ -30,10 +30,6 @@ class Report:
     details: dict = field(default_factory=dict)
 
     @property
-    def audit_ok(self) -> bool:
-        return all(status != FAILED for _, status in self.audit)
-
-    @property
     def fully_verified(self) -> bool:
         return all(status == VERIFIED for _, status in self.audit)
 

@@ -21,6 +21,8 @@ DEFAULT_PAIR_BUDGET = 1000
 DEFAULT_FIXPOINT_BUDGET = 10**4
 DEFAULT_ENDO_CAP = 10**4
 SUMSET_CAP = 10**5
+# pair entries held by the combo_table memo, summed over its tables
+COMBO_MEMO_ENTRIES = 1 << 16
 
 
 class SetError(ValueError):
@@ -109,23 +111,28 @@ class EndoSet:
     def keys(self):
         return {t.key() for t in self.members}
 
-    def contains(self, t: Endo) -> bool:
-        return t.key() in self.keys()
-
 
 # -- convexity checks ------------------------------------------------------
 
 
-def combo_table(d: GroundSet, t: Endo) -> list:
+def combo_table(d: GroundSet, t: Endo) -> tuple:
     """Row ix, column iy: the index in D of T(x) + (I-T)(y) for the ix-th
     and iy-th elements of D, or None when that point leaves D.
 
     T and I-T are applied once per element; the pair sums are reduced on
-    plain coordinate tuples and looked up in the domain's index.
+    plain coordinate tuples and looked up in the domain's index.  Tables
+    are shared through a memo keyed by the group, the coordinates of D in
+    order and the endo's matrix, so rows are tuples.  The raw matrix, not
+    Endo.key(), is the key: key() truncates entries that do not reduce, and
+    such an endo must still fail in apply.
     """
     if not d.is_finite:
         raise SetError("combination tables need an explicit finite domain")
     g = d.group
+    key = (g, tuple(d.index), t.matrix)
+    rows = _COMBO_MEMO.tables.get(key)
+    if rows is not None and t.group == g:  # an endo of another group fails below
+        return rows
     it = complement(t)
     images = [t.apply(x).coords for x in d.elements]
     columns = list(zip(*(it.apply(y).coords for y in d.elements)))
@@ -135,8 +142,31 @@ def combo_table(d: GroundSet, t: Endo) -> list:
     for u in images:
         sums = [[(a + b) % m for b in col] if m else [a + b for b in col]
                 for a, m, col in zip(u, mods, columns)]
-        rows.append([get(z) for z in zip(*sums)])
+        rows.append(tuple(map(get, zip(*sums))))
+    rows = tuple(rows)
+    _COMBO_MEMO.store(key, rows)
     return rows
+
+
+class _TableMemo:
+    """Tables by key, oldest first, holding at most COMBO_MEMO_ENTRIES pair
+    entries in total; a larger table is not stored, an older one is evicted."""
+
+    def __init__(self):
+        self.tables = {}
+        self.entries = 0
+
+    def store(self, key, rows):
+        size = len(rows) ** 2
+        if size > COMBO_MEMO_ENTRIES:
+            return
+        while self.entries + size > COMBO_MEMO_ENTRIES:
+            self.entries -= len(self.tables.pop(next(iter(self.tables)))) ** 2
+        self.tables[key] = rows
+        self.entries += size
+
+
+_COMBO_MEMO = _TableMemo()
 
 
 def _convexity_report(d: GroundSet, t: Endo, rows) -> Report:
@@ -156,16 +186,27 @@ def is_T_convex(
     sampled on boxes."""
     if d.is_finite:
         return _convexity_report(d, t, combo_table(d, t))
-    g = d.group
-    it = complement(t)
-    rng = random.Random(seed)
+    return _sampled_convexity(d, t, probes, seed)[0]
+
+
+def _sampled_convexity(d: GroundSet, t: Endo, probes: int, seed: int):
+    """is_T_convex(d, t, probes, seed) together with the (x, y, Tx + (I-T)y)
+    triples drawn from Random(seed) up to the first z outside D, so that a
+    sampled check over the same pairs need not draw and combine them again."""
+    g, it, rng = d.group, complement(t), random.Random(seed)
+    report = Report("is_T_convex", True, SAMPLED)
+    triples = []
     for _ in range(probes):
         x = d.sample(rng)
         y = d.sample(rng)
         z = g.add(t.apply(x), it.apply(y))
         if z not in d:
-            return Report("is_T_convex", False, SAMPLED, witness=_pair_witness(x, y, z))
-    return Report("is_T_convex", True, SAMPLED)
+            report = Report("is_T_convex", False, SAMPLED, witness=_pair_witness(x, y, z))
+            break
+        triples.append((x, y, z))
+    if d.is_finite:
+        report = _convexity_report(d, t, combo_table(d, t))
+    return report, triples
 
 
 def _pair_witness(x, y, z):

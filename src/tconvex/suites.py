@@ -3,16 +3,17 @@ replayable suite of checks.
 
 A case is one property evaluation.  An alarm is a failed case whose
 hypotheses were fully verified — the target across every suite is zero
-alarms.  Every alarm carries a replayable serialization of its inputs.
+alarms.  Every alarm carries a serialization of its inputs; payloads with
+a group, a function and an endo replay through ``replay_alarm``.
 
-The closure suites run on rank-1 cyclic carriers with a fast scalar
-kernel (periodically cross-validated against the reference checker) so
-thousand-case campaigns stay inside the harness time budget.
+Every inequality a suite checks goes through the public checker
+(``check_inequality`` and ``convexity_interval``).  The closure and
+composition suites draw their tables on whole rank-1 cyclic carriers,
+where ``sets.combo_table``'s memo makes the repeated small checks cheap.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 import time
@@ -36,6 +37,7 @@ from .endos import (
     NotInvertible,
     complement,
     compose,
+    deserialize_endo,
     identity_endo,
     multiplication_endo,
     neumann_inverse,
@@ -54,6 +56,7 @@ from .functions import (
     TT_AFFINE,
     WRIGHT,
     check_inequality,
+    convexity_interval,
     deserialize_fn,
     diamond_conv,
     inf_conv,
@@ -81,6 +84,7 @@ from .report import FAILED
 from .sets import (
     box_set,
     closure_generate,
+    combo_table,
     enumerate_TD,
     finite_set,
     is_T_convex,
@@ -139,86 +143,6 @@ class Campaign:
             )
         if not verdict and alarm_payload is not None:
             self.report.alarms.append({"id": case_id, "case": alarm_payload})
-
-
-# -- fast scalar kernel for rank-1 cyclic carriers -------------------------
-
-
-@functools.lru_cache(maxsize=4096)
-def _scalar_combos(m: int, a: int):
-    """All (z, x, y) with z = a*x + (1-a)*y on Z_m."""
-    b = (1 - a) % m
-    return tuple(
-        ((a * x + b * y) % m, x, y) for x in range(m) for y in range(m)
-    )
-
-
-def _fast_check(kind, vals, m, a, t=None):
-    """Reference-equivalent inequality check on a whole-group value table."""
-    combos = _scalar_combos(m, a % m)
-    if kind == QUASICONVEX:
-        return all(vals[z] <= max(vals[x], vals[y]) for z, x, y in combos)
-    if kind == WRIGHT:
-        b = (1 - a) % m
-        for z, x, y in combos:
-            z2 = (b * x + a * y) % m
-            if vals[z] + vals[z2] > vals[x] + vals[y]:
-                return False
-        return True
-    if kind == TTCONVEX:
-        return all(
-            vals[z] <= t * vals[x] + (1 - t) * vals[y] for z, x, y in combos
-        )
-    if kind == TT_AFFINE:
-        return all(
-            vals[z] == t * vals[x] + (1 - t) * vals[y] for z, x, y in combos
-        )
-    raise SuiteError(f"unknown kind {kind!r}")
-
-
-def _table(g: GroupSpec, vals):
-    return table_fn(whole_group_set(g), [Fraction(v) for v in vals])
-
-
-def _cross_validate(kind, g, vals, a, t, expected):
-    """Run the reference checker on the same instance and compare."""
-    pair = ConvexPair(multiplication_endo(g, a), Fraction(t))
-    rep = check_inequality(kind, _table(g, vals), pair)
-    return rep.verdict == expected
-
-
-def _interval_for(vals, m, a, affine=False):
-    """Exact set of t keeping the scalar pair (a, t) convex/affine."""
-    lo, hi = Fraction(0), Fraction(1)
-    point = None
-    for z, x, y in _scalar_combos(m, a):
-        fx, fy, fz = vals[x], vals[y], vals[z]
-        if fx == fy:
-            if affine:
-                if fz != fy:
-                    return None
-            elif fz > fy:
-                return None
-            continue
-        bound = Fraction(fz - fy, fx - fy)
-        if affine:
-            if point is None:
-                point = bound
-            elif point != bound:
-                return None
-        elif fx > fy:
-            lo = max(lo, bound)
-        else:
-            hi = min(hi, bound)
-    if affine:
-        if point is None:
-            return Fraction(0), Fraction(1)
-        if 0 <= point <= 1:
-            return point, point
-        return None
-    if lo > hi:
-        return None
-    return lo, hi
 
 
 def _primes_of(n: int):
@@ -398,12 +322,12 @@ def suite_midpoint_convexity(rng, caps, camp: Campaign):
             camp.add(f"midpoint/{label}/cert", False, alarm_payload=payload)
             continue
         half = pow(2, -1, m)
-        combos = _scalar_combos(m, t_scalar)
+        rows = combo_table(whole_group_set(g), t)
         bad = None
         for mask in range(1, 1 << m):
             members = [i for i in range(m) if mask >> i & 1]
             inside = [mask >> i & 1 for i in range(m)]
-            if not all(inside[z] for z, x, y in combos if inside[x] and inside[y]):
+            if not all(inside[rows[x][y]] for x in members for y in members):
                 continue  # not T-convex
             for x in members:
                 for y in members:
@@ -620,18 +544,24 @@ def _random_vals(rng, m):
     return [rng.randint(0, 3) for _ in range(m)]
 
 
-def _find_scalar_pair(rng, vals, m, kind, tries=20):
-    """A scalar pair (a, t) under which the value table passes."""
+def _holds(kind, d, vals, pair: ConvexPair) -> bool:
+    return check_inequality(kind, table_fn(d, vals), pair).verdict
+
+
+def _find_scalar_pair(rng, d, vals, kind, tries=20):
+    """A pair (multiplication by a, t) under which the value table passes."""
+    g, m = d.group, len(d.elements)
     for _ in range(tries):
-        a = rng.randrange(m)
+        endo = multiplication_endo(g, rng.randrange(m))
         if kind in (QUASICONVEX, WRIGHT):
-            if _fast_check(kind, vals, m, a):
-                return a, Fraction(1, 2)
+            pair = ConvexPair(endo, Fraction(1, 2))
+            if _holds(kind, d, vals, pair):
+                return pair
         else:
-            iv = _interval_for(vals, m, a, affine=kind == TT_AFFINE)
-            if iv is not None:
-                lo, hi = iv
-                return a, (lo + hi) / 2
+            mode = "affine" if kind == TT_AFFINE else "convex"
+            iv = convexity_interval(table_fn(d, vals), endo, mode)
+            if not iv.empty:
+                return ConvexPair(endo, (iv.lower + iv.upper) / 2)
     return None
 
 
@@ -644,10 +574,11 @@ def _composite_suite(kind, tag):
             attempts += 1
             m = rng.randint(3, 8)
             g = cyclic_group(m)
+            d = whole_group_set(g)
             vals = _random_vals(rng, m)
             found = []
             for _ in range(3):
-                got = _find_scalar_pair(rng, vals, m, kind)
+                got = _find_scalar_pair(rng, d, vals, kind)
                 if got is None:
                     break
                 found.append(got)
@@ -655,30 +586,25 @@ def _composite_suite(kind, tag):
                 if attempts % 3 == 0:  # keep progress with a constant table
                     vals = [rng.randint(0, 2)] * m
                     found = [
-                        (rng.randrange(m), gen_t(rng, 6)) for _ in range(3)
+                        ConvexPair(multiplication_endo(g, rng.randrange(m)), gen_t(rng, 6))
+                        for _ in range(3)
                     ]
                 else:
                     continue
-            pairs = [
-                ConvexPair(multiplication_endo(g, a), t) for a, t in found
-            ]
-            outer, p1, p2 = pairs
+            outer, p1, p2 = found
             if kind == WRIGHT:
                 p2, found = p1, [found[0], found[1], found[1]]
             derived = compose_pair(outer, p1, p2)
-            da = int(derived.pair.endo.matrix[0][0]) % m
-            ok = _fast_check(kind, vals, m, da, derived.pair.t)
-            if produced % 50 == 0:  # cross-validate against the reference path
-                ok = ok and _cross_validate(kind, g, vals, da, derived.pair.t, ok)
             camp.add(
-                f"{tag}/{produced}", ok, None,
+                f"{tag}/{produced}", _holds(kind, d, vals, derived.pair), None,
                 alarm_payload=dict(
                     group=serialize_group(g),
-                    fn=serialize_fn(_table(g, vals)),
+                    fn=serialize_fn(table_fn(d, vals)),
                     endo=serialize_endo(derived.pair.endo),
                     t=format_rational(derived.pair.t),
                     kind=kind,
-                    inputs=[[a, format_rational(t)] for a, t in found],
+                    inputs=[[int(p.endo.matrix[0][0]), format_rational(p.t)]
+                            for p in found],
                 ),
             )
             produced += 1
@@ -692,26 +618,37 @@ suite_compose_convex = _composite_suite(TTCONVEX, "compose-c")
 suite_compose_affine = _composite_suite(TT_AFFINE, "compose-a")
 
 
-def _scalar_family(rng, m, kind, count, tries=60):
+def _scalar_family(rng, d, kind, count, tries=60):
     """One scalar pair plus several value tables passing under it."""
+    g, m = d.group, len(d.elements)
     for _ in range(12):
         a = rng.randrange(m)
         if kind in (TTCONVEX, TT_AFFINE):
             t = gen_t(rng, 6)
         else:
             t = Fraction(1, 2)
+        pair = ConvexPair(multiplication_endo(g, a), t)
         fams = []
         for _ in range(tries):
             vals = _random_vals(rng, m)
-            if _fast_check(kind, vals, m, a, t):
+            if _holds(kind, d, vals, pair):
                 fams.append(vals)
             if len(fams) == count:
-                return a, t, fams
+                return pair, fams
         if len(fams) >= 2:
-            return a, t, fams
+            return pair, fams
     # constants pass every kind under every pair
-    a, t = rng.randrange(m), gen_t(rng, 6)
-    return a, t, [[k] * m for k in range(count)]
+    pair = ConvexPair(multiplication_endo(g, rng.randrange(m)), gen_t(rng, 6))
+    return pair, [[k] * m for k in range(count)]
+
+
+def _family_payload(g, d, pair: ConvexPair, kind, fams):
+    return dict(
+        group=serialize_group(g),
+        endo=serialize_endo(pair.endo),
+        t=format_rational(pair.t), kind=kind,
+        fns=[serialize_fn(table_fn(d, v)) for v in fams],
+    )
 
 
 def _pointwise_suite(kind, tag, with_sum_scale, with_sup):
@@ -719,16 +656,12 @@ def _pointwise_suite(kind, tag, with_sum_scale, with_sup):
         for i in range(caps["cases"]):
             m = rng.randint(3, 8)
             g = cyclic_group(m)
-            a, t, fams = _scalar_family(rng, m, kind, 3)
-            payload = dict(
-                group=serialize_group(g),
-                endo=serialize_endo(multiplication_endo(g, a)),
-                t=format_rational(t), kind=kind,
-                fns=[serialize_fn(_table(g, v)) for v in fams],
-            )
+            d = whole_group_set(g)
+            pair, fams = _scalar_family(rng, d, kind, 3)
+            payload = _family_payload(g, d, pair, kind, fams)
             if with_sup:
                 sup = [max(col) for col in zip(*fams)]
-                camp.add(f"{tag}/sup/{i}", _fast_check(kind, sup, m, a, t),
+                camp.add(f"{tag}/sup/{i}", _holds(kind, d, sup, pair),
                          alarm_payload=payload)
             # pointwise-decreasing chain whose steps stay inside the class:
             # clamping from above preserves quasiconvexity, constant shifts
@@ -739,22 +672,16 @@ def _pointwise_suite(kind, tag, with_sum_scale, with_sup):
                 chain = [[v - j for v in fams[0]] for j in range(3)]
             inf = [min(col) for col in zip(*chain)]
             camp.add(f"{tag}/chain-inf/{i}",
-                     _fast_check(kind, inf, m, a, t)
-                     and all(_fast_check(kind, step, m, a, t) for step in chain),
+                     _holds(kind, d, inf, pair)
+                     and all(_holds(kind, d, step, pair) for step in chain),
                      alarm_payload=payload)
             if with_sum_scale:
                 total = [u + v for u, v in zip(fams[0], fams[1])]
                 scaled = [Fraction(3, 2) * v for v in fams[0]]
-                camp.add(f"{tag}/sum/{i}", _fast_check(kind, total, m, a, t),
+                camp.add(f"{tag}/sum/{i}", _holds(kind, d, total, pair),
                          alarm_payload=payload)
-                camp.add(f"{tag}/scale/{i}", _fast_check(kind, scaled, m, a, t),
+                camp.add(f"{tag}/scale/{i}", _holds(kind, d, scaled, pair),
                          alarm_payload=payload)
-            if i % 50 == 0:
-                camp.add(
-                    f"{tag}/crosscheck/{i}",
-                    _cross_validate(kind, g, inf, a, t, True),
-                    alarm_payload=payload,
-                )
 
     return run
 
@@ -769,11 +696,11 @@ def suite_closure_quasi(rng, caps, camp: Campaign):
     for i in range(max(5, caps["cases"] // 4)):
         m = rng.randint(3, 8)
         g = cyclic_group(m)
-        a, t, fams = _scalar_family(rng, m, QUASICONVEX, 2)
+        d = whole_group_set(g)
+        pair, fams = _scalar_family(rng, d, QUASICONVEX, 2)
         if len(fams) < 2:
             continue
-        pair = ConvexPair(multiplication_endo(g, a), t)
-        f1, f2 = _table(g, fams[0]), _table(g, fams[1])
+        f1, f2 = table_fn(d, fams[0]), table_fn(d, fams[1])
         conv = diamond_conv(f1, f2)
         camp.add(
             f"quasi/diamond/{i}",
@@ -801,17 +728,17 @@ def suite_closure_convex(rng, caps, camp: Campaign):
     for i in range(max(5, caps["cases"] // 4)):
         m = rng.randint(3, 8)
         g = cyclic_group(m)
-        a, t, fams = _scalar_family(rng, m, TTCONVEX, 2)
+        d = whole_group_set(g)
+        pair, fams = _scalar_family(rng, d, TTCONVEX, 2)
         if len(fams) < 2:
             continue
-        pair = ConvexPair(multiplication_endo(g, a), t)
-        conv = inf_conv(_table(g, fams[0]), _table(g, fams[1]))
+        f1, f2 = table_fn(d, fams[0]), table_fn(d, fams[1])
         camp.add(
             f"convex/infconv/{i}",
-            check_inequality(TTCONVEX, conv, pair).verdict,
+            check_inequality(TTCONVEX, inf_conv(f1, f2), pair).verdict,
             alarm_payload=dict(
                 group=serialize_group(g),
-                fns=[serialize_fn(_table(g, v)) for v in fams[:2]],
+                fns=[serialize_fn(f1), serialize_fn(f2)],
                 pair=_pair_payload(g, pair)),
         )
 
@@ -820,22 +747,14 @@ def suite_closure_affine(rng, caps, camp: Campaign):
     for i in range(caps["cases"]):
         m = rng.randint(3, 8)
         g = cyclic_group(m)
-        a, t, fams = _scalar_family(rng, m, TT_AFFINE, 3)
-        payload = dict(
-            group=serialize_group(g),
-            endo=serialize_endo(multiplication_endo(g, a)),
-            t=format_rational(t), kind=TT_AFFINE,
-            fns=[serialize_fn(_table(g, v)) for v in fams],
-        )
-        camp.add(f"affine/limit/{i}", _fast_check(TT_AFFINE, fams[-1], m, a, t),
+        d = whole_group_set(g)
+        pair, fams = _scalar_family(rng, d, TT_AFFINE, 3)
+        payload = _family_payload(g, d, pair, TT_AFFINE, fams)
+        camp.add(f"affine/limit/{i}", _holds(TT_AFFINE, d, fams[-1], pair),
                  alarm_payload=payload)
         combo = [Fraction(2) * v + Fraction(5, 2) for v in fams[0]]
-        camp.add(f"affine/combo/{i}", _fast_check(TT_AFFINE, combo, m, a, t),
+        camp.add(f"affine/combo/{i}", _holds(TT_AFFINE, d, combo, pair),
                  alarm_payload=payload)
-        if i % 50 == 0:
-            camp.add(f"affine/crosscheck/{i}",
-                     _cross_validate(TT_AFFINE, g, combo, a, t, True),
-                     alarm_payload=payload)
 
 
 def suite_hconv(rng, caps, camp: Campaign):
@@ -1086,17 +1005,16 @@ def run_suite(config: SuiteConfig) -> CampaignReport:
 def replay_alarm(alarm: dict):
     """Re-run the single check encoded in an alarm case.
 
-    Supports the common payload shape group + fn + endo + t (+ kind),
-    which covers every inequality-check alarm emitted by the suites.
+    Supports the payload shape group + fn + endo + t (+ kind): the
+    compose-* alarms and the function cases of prop-ls.  Any other
+    payload raises SuiteError.
     """
     case = alarm["case"]
+    if not {"group", "fn", "endo"} <= case.keys():
+        raise SuiteError("alarm payload is not replayable with this helper")
     g = deserialize_group(case["group"])
-    from .endos import deserialize_endo
-
-    if "fn" in case and "endo" in case:
-        f = deserialize_fn(g, case["fn"])
-        t = deserialize_endo(g, case["endo"])
-        kind = case.get("kind", QUASICONVEX)
-        tval = parse_rational(case.get("t", "1/2"))
-        return check_inequality(kind, f, ConvexPair(t, tval))
-    raise SuiteError("alarm payload is not replayable with this helper")
+    f = deserialize_fn(g, case["fn"])
+    t = deserialize_endo(g, case["endo"])
+    kind = case.get("kind", QUASICONVEX)
+    tval = parse_rational(case.get("t", "1/2"))
+    return check_inequality(kind, f, ConvexPair(t, tval))

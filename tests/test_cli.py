@@ -171,3 +171,18 @@ def test_deeply_nested_json_exits_three():
     assert proc.returncode == 3
     assert "cannot read" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("group", [
+    '{"family": "lattice", "rank": 1e400, "metric": {"kind": "abs", "weights": ["1"]}}',
+    '{"family": "cyclic", "moduli": [1e400], "metric": {"kind": "lee", "weights": ["1"]}}',
+    '{"family": "lattice", "rank": 1.5, "metric": {"kind": "abs", "weights": ["1"]}}',
+    '{"family": "nadic", "base": 6.5, "rank": 1, "metric": {"kind": "abs", "weights": ["1"]}}',
+    '{"family": "lattice", "rank": true, "metric": {"kind": "abs", "weights": ["1"]}}',
+])
+def test_non_integer_group_fields_exit_two(group):
+    proc = run_cli("spectral", "--input", "-",
+                   stdin='{"group": %s, "endo": {"matrix": [["2"]]}}' % group)
+    assert proc.returncode == 2
+    assert "must be" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -88,3 +88,26 @@ def test_group_serialization_round_trip():
         nadic_group(6, 2),
     ):
         assert deserialize_group(serialize_group(g)) == g
+
+
+@pytest.mark.parametrize("family, field, value", [
+    ("lattice", "rank", 1.7),
+    ("lattice", "rank", 1.0),
+    ("lattice", "rank", True),
+    ("lattice", "rank", float("inf")),
+    ("lattice", "rank", "1"),
+    ("nadic", "base", 6.5),
+    ("nadic", "rank", True),
+    ("cyclic", "moduli", [5.0]),
+    ("cyclic", "moduli", [5.5]),
+    ("cyclic", "moduli", [float("inf")]),
+    ("cyclic", "moduli", "5"),
+])
+def test_deserialize_group_accepts_only_integer_fields(family, field, value):
+    data = serialize_group({"cyclic": cyclic_group(5),
+                            "lattice": lattice_group(1),
+                            "nadic": nadic_group(6)}[family])
+    assert deserialize_group(data).family == family
+    data[field] = value
+    with pytest.raises(GroupError):
+        deserialize_group(data)

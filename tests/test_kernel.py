@@ -8,6 +8,9 @@ import pytest
 
 from tconvex import (
     KINDS,
+    Endo,
+    EndoError,
+    GroupError,
     NEG_INF,
     WRIGHT,
     WRIGHT_AFFINE,
@@ -21,14 +24,16 @@ from tconvex import (
     internal_points,
     is_T_convex,
     lift_check,
+    multiplication_endo,
     qconv_envelope,
     table_fn,
     validate_endo,
     whole_group_set,
 )
+from tconvex import sets
 from tconvex.functions import _violates
 from tconvex.rationals import ext_le, ext_max, format_ext
-from tconvex.sets import valid_endo_matrices
+from tconvex.sets import combo_table, valid_endo_matrices
 
 CARRIERS = [(6,), (8,), (9,), (2, 4), (3, 3), (2, 6)]
 TS = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2, 3)]
@@ -226,3 +231,62 @@ def test_kernel_agrees_with_the_element_pair_reference():
     assert {("convex", True), ("convex", False), ("affine", True), ("affine", False)} <= seen
     assert {("internal", "internal"), ("internal", "not-internal")} <= seen
     assert {("lift", "epigraph", True), ("lift", "epigraph", False)} <= seen
+
+
+@pytest.fixture()
+def empty_memo(monkeypatch):
+    monkeypatch.setattr(sets, "_COMBO_MEMO", sets._TableMemo())
+    return monkeypatch
+
+
+def held_entries():
+    return sum(len(rows) ** 2 for rows in sets._COMBO_MEMO.tables.values())
+
+
+def test_equal_domains_share_one_memoised_table(empty_memo):
+    g = cyclic_group(2, 4)
+    t = validate_endo(g, [[1, 0], [2, 3]])
+    first = combo_table(whole_group_set(g), t)
+    again = combo_table(whole_group_set(cyclic_group(2, 4)), validate_endo(g, [[1, 0], [2, 3]]))
+    assert again is first  # a separately built but equal domain and endo hit
+    assert isinstance(first, tuple) and all(isinstance(row, tuple) for row in first)
+    empty_memo.setattr(sets, "COMBO_MEMO_ENTRIES", 0)
+    sets._COMBO_MEMO.tables.clear()
+    fresh = combo_table(whole_group_set(g), t)
+    assert fresh is not first and fresh == first
+    assert sets._COMBO_MEMO.tables == {}
+
+
+def test_memo_never_serves_an_endo_that_fails_to_apply(empty_memo):
+    g = cyclic_group(5)
+    d = whole_group_set(g)
+    half = Endo(g, ((Fraction(1, 2),),))  # key() truncates it to the zero endo
+    assert half.key() == multiplication_endo(g, 0).key()
+    combo_table(d, multiplication_endo(g, 0))
+    with pytest.raises(GroupError):
+        combo_table(d, half)
+    with pytest.raises(EndoError):  # an endo of another group
+        combo_table(d, multiplication_endo(cyclic_group(5, kind="discrete"), 0))
+
+
+def test_memo_holds_at_most_its_budget_of_pair_entries(empty_memo):
+    empty_memo.setattr(sets, "COMBO_MEMO_ENTRIES", 300)
+    tables = []
+    for m in range(3, 13):
+        g = cyclic_group(m)
+        d = whole_group_set(g)
+        for a in range(m):
+            tables.append(combo_table(d, multiplication_endo(g, a)))
+            assert held_entries() == sets._COMBO_MEMO.entries <= 300
+    held = [id(rows) for rows in sets._COMBO_MEMO.tables.values()]
+    assert 1 < len(held) < len(tables)
+    # the oldest tables were evicted first: what is held is the newest run
+    assert held == [id(rows) for rows in tables[-len(held):]]
+
+
+def test_a_table_over_the_budget_is_returned_but_not_stored(empty_memo):
+    empty_memo.setattr(sets, "COMBO_MEMO_ENTRIES", 100)
+    g = cyclic_group(11)  # 121 pair entries
+    rows = combo_table(whole_group_set(g), multiplication_endo(g, 3))
+    assert len(rows) == 11 and rows[1][0] == 3
+    assert sets._COMBO_MEMO.tables == {} and sets._COMBO_MEMO.entries == 0

@@ -17,6 +17,8 @@ from tconvex import (
     table_fn,
     whole_group_set,
 )
+from tconvex import suites
+from tconvex.report import EXHAUSTIVE, Report
 from tconvex.suites import REGISTRY, brute_envelope
 
 SMALL = {"cases": 15}
@@ -45,7 +47,9 @@ def test_empty_suite_trivially_passes():
 
 
 def test_reports_are_deterministic_for_fixed_seed_and_caps():
-    for sid in ("prop-ls", "closure-wright", "twa-roundtrip"):
+    # the second run of each suite reads its pair tables from a warm memo
+    for sid in ("prop-ls", "closure-wright", "twa-roundtrip", "compose-convex",
+                "closure-affine", "midpoint-convexity"):
         a = run_suite(SuiteConfig(sid, seed=11, caps=SMALL))
         b = run_suite(SuiteConfig(sid, seed=11, caps=SMALL))
         assert _stripped(a) == _stripped(b)
@@ -85,6 +89,39 @@ def test_alarm_payloads_replay_to_the_same_verdict():
     direct = check_inequality("quasiconvex", f, ConvexPair(t, __import__(
         "fractions").Fraction(1, 2)))
     assert rep.witness == direct.witness
+
+
+def test_unsupported_alarm_payloads_raise_suite_error():
+    for case in (
+        {"t": "1/2", "weights": ["1/2", "1/2"]},  # hconv: no group
+        {"q": "1", "b": "0", "c": "0", "p": "2"},  # rode-support
+        {"group": serialize_group(cyclic_group(5)), "fns": [], "endo": {}},
+    ):
+        with pytest.raises(SuiteError):
+            replay_alarm({"id": "x/0", "case": case})
+
+
+def test_closure_and_compose_cases_go_through_the_public_checker(monkeypatch):
+    """With the checker the suites import stubbed to fail, every closure
+    and composition case that checks an inequality raises an alarm."""
+    def failing(kind, f, pair, **kwargs):
+        return Report(f"check:{kind}", False, EXHAUSTIVE)
+
+    monkeypatch.setattr(suites, "check_inequality", failing)
+    caps = {"cases": 3}
+    for sid, tags in (
+        ("closure-quasi", ("quasi/sup", "quasi/chain-inf")),
+        ("closure-wright", ("wright/chain-inf", "wright/sum", "wright/scale")),
+        ("closure-convex", ("convex/sup", "convex/chain-inf", "convex/sum",
+                            "convex/scale")),
+        ("closure-affine", ("affine/limit", "affine/combo")),
+    ):
+        alarms = {a["id"] for a in run_suite(SuiteConfig(sid, seed=2, caps=caps)).alarms}
+        assert {f"{tag}/{i}" for tag in tags for i in range(3)} <= alarms, sid
+    for sid, tag in (("compose-quasi", "compose-q"), ("compose-wright", "compose-w"),
+                     ("compose-convex", "compose-c"), ("compose-affine", "compose-a")):
+        rep = run_suite(SuiteConfig(sid, seed=2, caps=caps))
+        assert {a["id"] for a in rep.alarms} == {f"{tag}/{i}" for i in range(3)}, sid
 
 
 def test_report_schema():
