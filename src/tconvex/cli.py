@@ -2,7 +2,7 @@
 
 Every subcommand reads JSON from a file (or standard input when the path
 is ``-``) and writes JSON to standard output.  Exit codes: 0 success,
-1 property violation, 2 usage error, 3 I/O error.
+1 property violation, 2 usage error, 3 I/O error, 4 internal error.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .functions import (
     serialize_fn,
 )
 from .generators import generate_instance
-from .groups import GroupError, deserialize_group
+from .groups import GroupError, deserialize_group, _json_int
 from .rationals import format_rational, parse_rational
 from .sets import (
     SetError,
@@ -55,6 +55,7 @@ from .suites import SuiteConfig, SuiteError, run_suite
 
 USAGE_ERROR = 2
 IO_ERROR = 3
+INTERNAL_ERROR = 4
 
 
 def _jsonify(obj):
@@ -106,7 +107,8 @@ def cmd_check(args) -> int:
     pair = _pair_from(g, edoc, args.t)
     probes = args.budget * (10 if args.exhaustive else 1)
     rep = check_inequality(args.kind, f, pair, probes=probes, seed=args.seed)
-    _emit({"kind": args.kind, "verdict": rep.verdict, "witness": rep.witness,
+    _emit({"kind": args.kind, "verdict": rep.verdict, "mode": rep.mode,
+           "probes": rep.details.get("probes"), "witness": rep.witness,
            "audit": rep.audit})
     return 0 if rep.verdict else 1
 
@@ -132,17 +134,17 @@ def cmd_derive(args) -> int:
         derived = [compose_pair(outer, p1, p2)]
     elif rule == "wright-ratio":
         pair = _pair_from(g, doc)
-        derived = [wright_ratio_derive(pair.endo, int(doc["n"]), int(doc["k"]))]
+        derived = [wright_ratio_derive(pair.endo, _json_int(doc, "n"), _json_int(doc, "k"))]
     elif rule == "right-inverse":
         t_pair, s_pair = (_pair_from(g, d) for d in doc["pairs"])
         sstar = right_inverse_on(s_pair.endo, g.generators())
         derived = right_inverse_derive(t_pair, s_pair, sstar)
     elif rule == "last":
         pairs = [_pair_from(g, d) for d in doc["pairs"]]
-        derived = [last_derive(pairs, int(doc["k"]))]
+        derived = [last_derive(pairs, _json_int(doc, "k"))]
     elif rule == "kuhn":
         pair = _pair_from(g, doc)
-        derived = kuhn_derive(pair, int(doc["n"]))
+        derived = kuhn_derive(pair, _json_int(doc, "n"))
     else:
         print(f"error: unknown rule {rule!r}", file=sys.stderr)
         return USAGE_ERROR
@@ -342,6 +344,9 @@ def cli_dispatch(argv=None) -> int:
             NotInvertible, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def main() -> None:

@@ -48,10 +48,10 @@ class Endo:
         return self.group.reduce(linalg.mat_vec(self.matrix, x.coords))
 
     def key(self):
-        """Canonical hashable form (entries reduced modulo the moduli)."""
+        """Canonical hashable form: integer entries reduced modulo the moduli, others kept."""
         if self.group.family == CYCLIC:
             return tuple(
-                tuple(int(e) % m for e in row)
+                tuple(int(e) % m if e.denominator == 1 else e for e in row)
                 for row, m in zip(self.matrix, self.group.moduli)
             )
         return self.matrix

@@ -7,9 +7,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
-from .endos import Endo, complement
+from .endos import Endo
 from .groups import CYCLIC, GroupSpec, Element, GroupError
 from .rationals import (
     NEG_INF,
@@ -26,6 +27,8 @@ from .report import EXHAUSTIVE, SAMPLED, Report
 from .sets import (
     GroundSet,
     _convexity_report,
+    _element,
+    _pair_witness,
     _sampled_convexity,
     combo_table,
     finite_set,
@@ -87,7 +90,7 @@ class QuadraticFn:
         return self.domain.group
 
     def __call__(self, x: Element) -> ExtValue:
-        v = tuple(Fraction(cc) for cc in x.coords)
+        v = x.coords
         qv = linalg.mat_vec(self.q, v)
         return (
             sum((a * b for a, b in zip(v, qv)), Fraction(0))
@@ -97,6 +100,20 @@ class QuadraticFn:
 
     def is_finite_valued(self) -> bool:
         return True
+
+    def integer_form(self):
+        """F(n, D) = n.Q'n + D*b'.n + D^2*c' = L*D^2*f(n/D) on integers, where
+        Q', b', c' are Q, b, c times L, the common denominator of their entries."""
+        r = len(self.b)
+        _, flat = _scaled([e for row in self.q for e in row] + [*self.b, self.c])
+        qs, bs, cs = [flat[i * r:(i + 1) * r] for i in range(r)], flat[r * r:-1], flat[-1]
+
+        def form(n, d):
+            total = d * d * cs
+            for a, row, b in zip(n, qs, bs):
+                total += a * (sum(map(mul, row, n)) + d * b)
+            return total
+        return form
 
 
 def table_fn(domain: GroundSet, values) -> TableFn:
@@ -205,8 +222,6 @@ def _first_violation(kind, t, values, rows):
     Finite tables are compared exactly on integers scaled by one common
     denominator (t = p/q turns the TT kinds into q*f(z) <= p*f(x) +
     (q-p)*f(y)); tables with -inf values go through _violates."""
-    if kind not in KINDS:
-        raise FnError(f"unknown inequality kind {kind!r}")
     mirror = kind in (WRIGHT, WRIGHT_AFFINE)
     if any(v is NEG_INF for v in values):
         for ix, row in enumerate(rows):
@@ -253,8 +268,13 @@ def check_inequality(
     if isinstance(f, TableFn):
         rows = combo_table(f.domain, t_endo)
         conv = _convexity_report(f.domain, t_endo, rows)
-        if not conv.verdict:
-            raise FnError(f"domain is not T-convex: witness {conv.witness}")
+    else:
+        conv, draws, den = _sampled_convexity(f.domain, t_endo, probes, seed)
+    if not conv.verdict:
+        raise FnError(f"domain is not T-convex: witness {conv.witness}")
+    if kind not in KINDS:
+        raise FnError(f"unknown inequality kind {kind!r}")
+    if isinstance(f, TableFn):
         hit = _first_violation(kind, pair.t, f.values, rows)
         if hit is None:
             return Report(f"check:{kind}", True, EXHAUSTIVE)
@@ -263,29 +283,28 @@ def check_inequality(
         return Report(
             f"check:{kind}", False, EXHAUSTIVE, witness=_ineq_witness(x, y, z, sides)
         )
-    conv, triples = _sampled_convexity(f.domain, t_endo, probes, seed)
-    if not conv.verdict:
-        raise FnError(f"domain is not T-convex: witness {conv.witness}")
-    g, it = f.group, complement(t_endo)
-    needs_mirror = kind in (WRIGHT, WRIGHT_AFFINE)
-    for x, y, z1 in triples:
-        fz2 = f(g.add(it.apply(x), t_endo.apply(y))) if needs_mirror else None
-        bad = _violates(kind, pair.t, f(x), f(y), f(z1), fz2)
-        if bad:
-            return Report(
-                f"check:{kind}", False, SAMPLED, witness=_ineq_witness(x, y, z1, bad)
-            )
-    return Report(f"check:{kind}", True, SAMPLED)
+    # on the integer form; t = p/q turns the TT kinds into q*F(z) <= p*F(x) + (q-p)*F(y)
+    form, p, q = f.integer_form(), pair.t.numerator, pair.t.denominator
+    mirror = kind in (WRIGHT, WRIGHT_AFFINE)
+    exact = kind in (WRIGHT_AFFINE, TT_AFFINE)
+    for i, (x, y, z, w) in enumerate(draws):
+        fx, fy, fz = form(x, den), form(y, den), form(z, den)
+        if kind == QUASICONVEX:
+            left, right = fz, max(fx, fy)
+        elif mirror:
+            left, right = fz + form(w, den), fx + fy
+        else:
+            left, right = q * fz, p * fx + (q - p) * fy
+        if left > right or (exact and left != right):
+            x, y, z, w = (_element(f.group, n, den) for n in draws[i])
+            sides = _violates(kind, pair.t, f(x), f(y), f(z), f(w) if mirror else None)
+            return Report(f"check:{kind}", False, SAMPLED,
+                          witness=_ineq_witness(x, y, z, sides), details={"probes": i + 1})
+    return Report(f"check:{kind}", True, SAMPLED, details={"probes": len(draws)})
 
 
 def _ineq_witness(x, y, z, sides):
-    return {
-        "x": list(map(str, x.coords)),
-        "y": list(map(str, y.coords)),
-        "z": list(map(str, z.coords)),
-        "lhs": format_ext(sides[0]),
-        "rhs": format_ext(sides[1]),
-    }
+    return {**_pair_witness(x, y, z), "lhs": format_ext(sides[0]), "rhs": format_ext(sides[1])}
 
 
 # -- level sets and characteristic functions -------------------------------
@@ -434,10 +453,11 @@ def convexity_interval(
             for iy, iz in enumerate(row)
         )
     else:
-        conv, pairs = _sampled_convexity(f.domain, t_endo, probes, seed)
+        conv, draws, den = _sampled_convexity(f.domain, t_endo, probes, seed)
         if not conv.verdict:
             return Interval.none()
-        triples = ((f(x), f(y), f(z)) for x, y, z in pairs)
+        form = f.integer_form()  # one positive scale for every value
+        triples = ((form(x, den), form(y, den), form(z, den)) for x, y, z, _ in draws)
     interval = Interval.full()
     for fx, fy, fz in triples:
         # fz <= t*fx + (1-t)*fy  <=>  t*(fx - fy) >= fz - fy

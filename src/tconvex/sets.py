@@ -8,8 +8,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import le, mul
 
-from .endos import Endo, binary_map, complement, compose, identity_endo, validate_endo, zero_endo
+from .endos import (
+    Endo, EndoError, binary_map, complement, compose, identity_endo, validate_endo, zero_endo,
+)
 from .groups import CYCLIC, NADIC, GroupSpec, Element, GroupError, mu_d
 from .rationals import format_rational, parse_rational
 from .report import EXHAUSTIVE, FAILED, SAMPLED, VERIFIED, Report
@@ -18,6 +21,8 @@ FINITE = "finite"
 BOX = "box"
 
 DEFAULT_PAIR_BUDGET = 1000
+# box draws lie on the base^-SAMPLE_EXP grid
+SAMPLE_EXP = 6
 DEFAULT_FIXPOINT_BUDGET = 10**4
 DEFAULT_ENDO_CAP = 10**4
 SUMSET_CAP = 10**5
@@ -69,20 +74,6 @@ class GroundSet:
             return x.coords in self.index
         return all(a <= c <= b for a, c, b in zip(self.lower, x.coords, self.upper))
 
-    def sample(self, rng: random.Random, exp_cap: int = 6) -> Element:
-        """A uniform-ish member: box corners refined to base^-exp_cap grid."""
-        g = self.group
-        if self.kind == FINITE:
-            return rng.choice(self.elements)
-        coords = []
-        for lo, hi in zip(self.lower, self.upper):
-            exp = rng.randint(0, exp_cap)
-            denom = g.base**exp
-            kmin = (lo * denom).__ceil__()
-            kmax = (hi * denom).__floor__()
-            coords.append(Fraction(rng.randint(kmin, kmax), denom))
-        return g.reduce(coords)
-
 
 def finite_set(group: GroupSpec, elements) -> GroundSet:
     return GroundSet(group, FINITE, elements=tuple(elements))
@@ -122,9 +113,7 @@ def combo_table(d: GroundSet, t: Endo) -> tuple:
     T and I-T are applied once per element; the pair sums are reduced on
     plain coordinate tuples and looked up in the domain's index.  Tables
     are shared through a memo keyed by the group, the coordinates of D in
-    order and the endo's matrix, so rows are tuples.  The raw matrix, not
-    Endo.key(), is the key: key() truncates entries that do not reduce, and
-    such an endo must still fail in apply.
+    order and the endo's matrix, so rows are tuples.
     """
     if not d.is_finite:
         raise SetError("combination tables need an explicit finite domain")
@@ -190,23 +179,67 @@ def is_T_convex(
 
 
 def _sampled_convexity(d: GroundSet, t: Endo, probes: int, seed: int):
-    """is_T_convex(d, t, probes, seed) together with the (x, y, Tx + (I-T)y)
-    triples drawn from Random(seed) up to the first z outside D, so that a
-    sampled check over the same pairs need not draw and combine them again."""
-    g, it, rng = d.group, complement(t), random.Random(seed)
-    report = Report("is_T_convex", True, SAMPLED)
-    triples = []
-    for _ in range(probes):
-        x = d.sample(rng)
-        y = d.sample(rng)
-        z = g.add(t.apply(x), it.apply(y))
-        if z not in d:
-            report = Report("is_T_convex", False, SAMPLED, witness=_pair_witness(x, y, z))
-            break
-        triples.append((x, y, z))
+    """is_T_convex(d, t, probes, seed), the pairs drawn from Random(seed) up
+    to the first z = Tx + (I-T)y outside D as integer numerator tuples
+    (x, y, z, w), w = (I-T)x + Ty, and their common denominator.
+
+    On a box each coordinate draws an exponent e in [0, SAMPLE_EXP], then a
+    multiple of base^-e in the box; with T = Tn/tden the denominator is
+    base^SAMPLE_EXP * tden, z = y + Tn(x - y)/tden exactly, and membership
+    is an integer compare.  A finite domain draws elements with rng.choice,
+    reads z and w off its combination table and gets the exhaustive report."""
+    if probes < 1:
+        raise SetError("a sampled verdict needs at least one probe")
+    rng = random.Random(seed)
     if d.is_finite:
-        report = _convexity_report(d, t, combo_table(d, t))
-    return report, triples
+        rows = combo_table(d, t)
+        report = _convexity_report(d, t, rows)
+        den = math.lcm(*(c.denominator for e in d.elements for c in e.coords))
+        nums = [tuple((c * den).numerator for c in e.coords) for e in d.elements]
+        pick, draws = range(len(nums)), []
+        for _ in range(probes if report.verdict else 0):
+            ix, iy = rng.choice(pick), rng.choice(pick)
+            draws.append((nums[ix], nums[iy], nums[rows[ix][iy]], nums[rows[iy][ix]]))
+        return report, draws, den
+    g = d.group
+    if t.group != g:
+        raise EndoError("element belongs to a different group")
+    for row in t.matrix:
+        g.reduce(row)  # an entry outside Z[1/N] raises GroupError here
+    tden = math.lcm(*(e.denominator for row in t.matrix for e in row))
+    tn = [[(e * tden).numerator for e in row] for row in t.matrix]
+    den = g.base**SAMPLE_EXP * tden
+    lower = [(c * den).__ceil__() for c in d.lower]
+    upper = [(c * den).__floor__() for c in d.upper]
+    # per coordinate and exponent e: the range of k with k/base^e in the box
+    # and the factor taking k to a numerator over den
+    grids = [[((lo * g.base**e).__ceil__(), (hi * g.base**e).__floor__(), den // g.base**e)
+              for e in range(SAMPLE_EXP + 1)] for lo, hi in zip(d.lower, d.upper)]
+    randint, draws = rng.randint, []
+
+    def point():
+        out = []
+        for grid in grids:
+            kmin, kmax, step = grid[randint(0, SAMPLE_EXP)]
+            out.append(randint(kmin, kmax) * step)
+        return tuple(out)
+
+    report = Report("is_T_convex", True, SAMPLED, details={"probes": probes})
+    for i in range(probes):
+        x, y = point(), point()
+        diff = [a - b for a, b in zip(x, y)]
+        z = tuple([b + sum(map(mul, row, diff)) // tden for b, row in zip(y, tn)])
+        if not (all(map(le, lower, z)) and all(map(le, z, upper))):
+            report = Report("is_T_convex", False, SAMPLED, details={"probes": i + 1},
+                            witness=_pair_witness(*(_element(g, n, den) for n in (x, y, z))))
+            break
+        draws.append((x, y, z, tuple([a + b - c for a, b, c in zip(x, y, z)])))
+    return report, draws, den
+
+
+def _element(g: GroupSpec, nums, den: int) -> Element:
+    """The element with coordinates nums / den."""
+    return g.reduce([Fraction(n, den) for n in nums])
 
 
 def _pair_witness(x, y, z):

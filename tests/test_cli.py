@@ -186,3 +186,70 @@ def test_non_integer_group_fields_exit_two(group):
     assert proc.returncode == 2
     assert "must be" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.fixture()
+def quadratic_box(tmp_path):
+    doc = {"group": {"family": "nadic", "base": 2, "rank": 1,
+                     "metric": {"kind": "abs", "weights": ["1"]}},
+           "fn": {"kind": "quadratic", "domain": {"kind": "box", "lower": ["0"],
+                                                   "upper": ["1"]},
+                  "Q": [["1"]], "b": ["0"], "c": "0"}}
+    fn_path = tmp_path / "q.json"
+    fn_path.write_text(json.dumps(doc))
+    endo_path = tmp_path / "half.json"
+    endo_path.write_text(json.dumps({"endo": {"matrix": [["1/2"]]}, "t": "1/2"}))
+    return fn_path, endo_path
+
+
+def test_check_reports_mode_and_probes(quadratic_box, z5_files):
+    fn_path, endo_path = quadratic_box
+    args = ["check", "--kind", "ttconvex", "--fn", str(fn_path), "--endo", str(endo_path),
+            "--budget", "50", "--seed", "3"]
+    proc = run_cli(*args)
+    assert proc.returncode == 0
+    out = json.loads(proc.stdout)
+    assert (out["verdict"], out["mode"], out["probes"]) == (True, "sampled", 50)
+    assert run_cli(*args).stdout == proc.stdout
+    table_fn_path, table_endo_path, _ = z5_files
+    out = json.loads(run_cli("check", "--kind", "quasiconvex", "--fn", str(table_fn_path),
+                             "--endo", str(table_endo_path)).stdout)
+    assert (out["mode"], out["probes"]) == ("exhaustive", None)
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_sampled_check_without_probes_exits_two(quadratic_box, budget):
+    fn_path, endo_path = quadratic_box
+    proc = run_cli("check", "--kind", "ttconvex", "--fn", str(fn_path),
+                   "--endo", str(endo_path), "--budget", budget)
+    assert proc.returncode == 2
+    assert "probe" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("rule, fields", [
+    ("wright-ratio", '"n": 1.5, "k": 1'),
+    ("wright-ratio", '"n": 1e400, "k": 1'),
+    ("kuhn", '"n": 1e400'),
+    ("last", '"k": true, "pairs": []'),
+])
+def test_derive_rejects_non_integer_counts(rule, fields):
+    stdin = ('{"group": {"family": "nadic", "base": 6, "rank": 1, "metric": '
+             '{"kind": "abs", "weights": ["1"]}}, "endo": {"matrix": [["1/2"]]}, '
+             '"t": "1/2", %s}' % fields)
+    proc = run_cli("derive", "--rule", rule, "--input", "-", stdin=stdin)
+    assert proc.returncode == 2
+    assert "must be an integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_unexpected_errors_exit_four(monkeypatch, capsys):
+    from tconvex import cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_spectral", broken)
+    assert cli.cli_dispatch(["spectral", "--input", "-"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal:") and "boom" in err
+    assert "Traceback" not in err

@@ -26,7 +26,8 @@ from tconvex import (
     validate_endo,
 )
 from tconvex import linalg
-from tconvex.endos import NoSolution, add, zero_endo
+from tconvex.endos import Endo, NoSolution, add, zero_endo
+from tconvex.sets import EndoSet, closure_generate
 
 
 def test_cyclic_congruence_validation():
@@ -145,3 +146,12 @@ def test_endo_serialization_round_trip():
     gn = nadic_group(6, 2)
     s = validate_endo(gn, [[Fraction(1, 2), 0], [Fraction(-1, 3), 1]])
     assert deserialize_endo(gn, serialize_endo(s)).matrix == s.matrix
+
+
+def test_key_keeps_non_integer_cyclic_entries_distinct():
+    g = cyclic_group(5)
+    half = Endo(g, ((Fraction(1, 2),),))
+    assert half.key() != zero_endo(g).key()
+    assert Endo(g, ((Fraction(7),),)).key() == multiplication_endo(g, 2).key()
+    assert len(EndoSet([zero_endo(g), half]).keys()) == 2
+    assert half.key() in closure_generate(g, [half], budget=8).keys()

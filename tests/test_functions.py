@@ -63,7 +63,8 @@ def test_quadratic_on_adic_box_is_midpoint_convex():
     dom = box_set(g, [Fraction(0)], [Fraction(1)])
     f = QuadraticFn(dom, ((Fraction(1),),), (Fraction(0),), Fraction(0))
     pair = ConvexPair(scaled_identity(g, Fraction(1, 2)), Fraction(1, 2))
-    assert check_inequality(TTCONVEX, f, pair, probes=200, seed=0).verdict
+    rep = check_inequality(TTCONVEX, f, pair, probes=200, seed=0)
+    assert rep.verdict and rep.mode == "sampled" and rep.details["probes"] == 200
 
 
 def test_level_sets_and_negative_characteristic_function():

@@ -260,8 +260,7 @@ def test_equal_domains_share_one_memoised_table(empty_memo):
 def test_memo_never_serves_an_endo_that_fails_to_apply(empty_memo):
     g = cyclic_group(5)
     d = whole_group_set(g)
-    half = Endo(g, ((Fraction(1, 2),),))  # key() truncates it to the zero endo
-    assert half.key() == multiplication_endo(g, 0).key()
+    half = Endo(g, ((Fraction(1, 2),),))  # same shape as the zero endo, fails in apply
     combo_table(d, multiplication_endo(g, 0))
     with pytest.raises(GroupError):
         combo_table(d, half)

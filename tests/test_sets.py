@@ -45,7 +45,7 @@ def test_box_T_convexity_is_sampled():
     from tconvex.endos import scaled_identity
 
     rep = is_T_convex(d, scaled_identity(g, Fraction(1, 2)))
-    assert rep.verdict and rep.mode == "sampled"
+    assert rep.verdict and rep.mode == "sampled" and rep.details["probes"] == 1000
 
 
 def test_n_convexity():
