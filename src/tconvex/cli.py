@@ -232,8 +232,7 @@ def cmd_suite(args) -> int:
         caps["cases"] = args.cases
     if args.budget:
         caps["probes"] = args.budget
-    config = SuiteConfig(args.id, seed=args.seed, caps=caps or None,
-                         output=args.output)
+    config = SuiteConfig(args.id, seed=args.seed, caps=caps or None)
     try:
         report = run_suite(config)
     except SuiteError as exc:
@@ -261,53 +260,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=1000,
-                       help="probe or saturation budget")
-        p.add_argument("--exhaustive", action="store_true")
-
     p = sub.add_parser("check", help="test a convexity inequality")
     p.add_argument("--kind", choices=sorted(KINDS), required=True)
     p.add_argument("--fn", required=True)
     p.add_argument("--endo", required=True)
     p.add_argument("--t", default=None)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, default=1000, help="probe budget")
+    p.add_argument("--exhaustive", action="store_true")
     p.set_defaults(fn_impl=cmd_check)
 
     p = sub.add_parser("derive", help="derive new convexity pairs")
     p.add_argument("--rule", required=True,
                    choices=["compose", "wright-ratio", "right-inverse", "last", "kuhn"])
     p.add_argument("--input", required=True)
-    common(p)
     p.set_defaults(fn_impl=cmd_derive)
 
     p = sub.add_parser("envelope", help="quasiconvex envelope of a table")
     p.add_argument("--fn", required=True)
     p.add_argument("--endos", required=True)
-    common(p)
     p.set_defaults(fn_impl=cmd_envelope)
 
     p = sub.add_parser("semigroup", help="enumerate convexity endomorphisms")
     p.add_argument("--input", required=True)
-    common(p)
+    p.add_argument("--budget", type=int, default=1000, help="saturation budget")
+    p.add_argument("--exhaustive", action="store_true")
     p.set_defaults(fn_impl=cmd_semigroup)
 
     p = sub.add_parser("decompose", help="split a table into quadratic/"
                                          "additive parts")
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=["wright", "affine"], default="wright")
-    common(p)
     p.set_defaults(fn_impl=cmd_decompose)
 
     p = sub.add_parser("support", help="affine support certificate at a point")
     p.add_argument("--input", required=True)
-    common(p)
     p.set_defaults(fn_impl=cmd_support)
 
     p = sub.add_parser("spectral", help="operator norm and spectral bound")
     p.add_argument("--input", required=True)
-    common(p)
     p.set_defaults(fn_impl=cmd_spectral)
 
     p = sub.add_parser("generate", help="seeded random instance")
@@ -321,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True)
     p.add_argument("--cases", type=int, default=0)
     p.add_argument("--output", default=None)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, default=1000, help="probe budget")
     p.set_defaults(fn_impl=cmd_suite)
 
     return parser

@@ -122,6 +122,13 @@ def table_fn(domain: GroundSet, values) -> TableFn:
     )
 
 
+def _tabulated(f):
+    """f, with a quadratic on a finite domain evaluated into its table."""
+    if isinstance(f, QuadraticFn) and f.domain.is_finite:
+        return table_fn(f.domain, [f(x) for x in f.domain.elements])
+    return f
+
+
 @dataclass(frozen=True)
 class ConvexPair:
     endo: Endo
@@ -262,9 +269,9 @@ def check_inequality(
     probes: int = 1000,
     seed: int = 0,
 ) -> Report:
-    """Check one convexity inequality; exhaustive over table domains,
-    sampled over quadratic (box) domains.  The domain must be T-convex."""
-    t_endo = pair.endo
+    """Check one convexity inequality; exhaustive over finite domains,
+    sampled over quadratics on boxes.  The domain must be T-convex."""
+    f, t_endo = _tabulated(f), pair.endo
     if isinstance(f, TableFn):
         rows = combo_table(f.domain, t_endo)
         conv = _convexity_report(f.domain, t_endo, rows)
@@ -437,6 +444,7 @@ def convexity_interval(
     as the intersection of per-pair half-line constraints in t."""
     if mode not in ("convex", "affine"):
         raise FnError(f"unknown interval mode {mode!r}")
+    f = _tabulated(f)
     if isinstance(f, TableFn):
         if any(v is NEG_INF for v in f.values):
             if all(v is NEG_INF for v in f.values):

@@ -179,28 +179,19 @@ def is_T_convex(
 
 
 def _sampled_convexity(d: GroundSet, t: Endo, probes: int, seed: int):
-    """is_T_convex(d, t, probes, seed), the pairs drawn from Random(seed) up
-    to the first z = Tx + (I-T)y outside D as integer numerator tuples
-    (x, y, z, w), w = (I-T)x + Ty, and their common denominator.
+    """is_T_convex(d, t, probes, seed) on a box, the pairs drawn from
+    Random(seed) up to the first z = Tx + (I-T)y outside D as integer
+    numerator tuples (x, y, z, w), w = (I-T)x + Ty, and their common
+    denominator.
 
-    On a box each coordinate draws an exponent e in [0, SAMPLE_EXP], then a
-    multiple of base^-e in the box; with T = Tn/tden the denominator is
+    Each coordinate draws an exponent e in [0, SAMPLE_EXP], then a multiple
+    of base^-e in the box; with T = Tn/tden the denominator is
     base^SAMPLE_EXP * tden, z = y + Tn(x - y)/tden exactly, and membership
-    is an integer compare.  A finite domain draws elements with rng.choice,
-    reads z and w off its combination table and gets the exhaustive report."""
+    is an integer compare.  A box with no multiple of base^-e in some
+    coordinate interval, for some e, raises SetError before the first draw."""
     if probes < 1:
         raise SetError("a sampled verdict needs at least one probe")
     rng = random.Random(seed)
-    if d.is_finite:
-        rows = combo_table(d, t)
-        report = _convexity_report(d, t, rows)
-        den = math.lcm(*(c.denominator for e in d.elements for c in e.coords))
-        nums = [tuple((c * den).numerator for c in e.coords) for e in d.elements]
-        pick, draws = range(len(nums)), []
-        for _ in range(probes if report.verdict else 0):
-            ix, iy = rng.choice(pick), rng.choice(pick)
-            draws.append((nums[ix], nums[iy], nums[rows[ix][iy]], nums[rows[iy][ix]]))
-        return report, draws, den
     g = d.group
     if t.group != g:
         raise EndoError("element belongs to a different group")
@@ -215,6 +206,13 @@ def _sampled_convexity(d: GroundSet, t: Endo, probes: int, seed: int):
     # and the factor taking k to a numerator over den
     grids = [[((lo * g.base**e).__ceil__(), (hi * g.base**e).__floor__(), den // g.base**e)
               for e in range(SAMPLE_EXP + 1)] for lo, hi in zip(d.lower, d.upper)]
+    for i, grid in enumerate(grids):
+        for e, (kmin, kmax, _) in enumerate(grid):
+            if kmin > kmax:
+                raise SetError(
+                    f"box [{', '.join(map(format_rational, d.lower))}] to "
+                    f"[{', '.join(map(format_rational, d.upper))}] holds no multiple "
+                    f"of {g.base}^-e for e = {e} in coordinate {i}, so it cannot be sampled")
     randint, draws = rng.randint, []
 
     def point():

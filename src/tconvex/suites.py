@@ -3,8 +3,11 @@ replayable suite of checks.
 
 A case is one property evaluation.  An alarm is a failed case whose
 hypotheses were fully verified — the target across every suite is zero
-alarms.  Every alarm carries a serialization of its inputs; payloads with
-a group, a function and an endo replay through ``replay_alarm``.
+alarms.  Each suite draws every instance from one ``random.Random(seed)``,
+so a report is fixed by its suite, seed and caps.  An alarm records that
+run, ``{"suite", "seed", "caps", "id"}``, and ``replay_alarm`` re-runs the
+whole suite from it and returns the entry of that case; any case of any
+suite replays the same way, at the cost of one suite run.
 
 Every inequality a suite checks goes through the public checker
 (``check_inequality`` and ``convexity_interval``).  The closure and
@@ -37,7 +40,6 @@ from .endos import (
     NotInvertible,
     complement,
     compose,
-    deserialize_endo,
     identity_endo,
     multiplication_endo,
     neumann_inverse,
@@ -57,13 +59,11 @@ from .functions import (
     WRIGHT,
     check_inequality,
     convexity_interval,
-    deserialize_fn,
     diamond_conv,
     inf_conv,
     level_set,
     neg_char_fn,
     qconv_envelope,
-    serialize_fn,
     table_fn,
     transport,
 )
@@ -71,15 +71,13 @@ from .generators import gen_cyclic_group, gen_endo, gen_fn, gen_t, with_defaults
 from .groups import (
     GroupSpec,
     cyclic_group,
-    deserialize_group,
     is_smooth,
     lattice_group,
     mu_d,
     n_norm,
     nadic_group,
-    serialize_group,
 )
-from .rationals import NEG_INF, ext_le, format_rational, parse_rational
+from .rationals import NEG_INF, ext_le
 from .report import FAILED
 from .sets import (
     box_set,
@@ -102,7 +100,6 @@ class SuiteConfig:
     suite: str
     seed: int = 0
     caps: dict | None = None
-    output: str | None = None
 
 
 @dataclass
@@ -129,10 +126,14 @@ class CampaignReport:
 
 
 class Campaign:
-    def __init__(self, suite: str):
-        self.report = CampaignReport(suite)
+    """Collects the cases of one suite run; ``caps`` are the effective caps
+    the suite function receives."""
 
-    def add(self, case_id, verdict, witness=None, audit=(), alarm_payload=None):
+    def __init__(self, suite: str, seed: int, caps: dict):
+        self.report = CampaignReport(suite)
+        self.seed, self.caps = seed, caps
+
+    def add(self, case_id, verdict, witness=None, audit=()):
         entry = {"id": case_id, "verdict": bool(verdict)}
         if witness is not None:
             entry["witness"] = witness
@@ -141,8 +142,10 @@ class Campaign:
             self.report.audit_summary[status] = (
                 self.report.audit_summary.get(status, 0) + 1
             )
-        if not verdict and alarm_payload is not None:
-            self.report.alarms.append({"id": case_id, "case": alarm_payload})
+        if not verdict:
+            self.report.alarms.append({"id": case_id, "case": {
+                "suite": self.report.suite, "seed": self.seed,
+                "caps": dict(self.caps), "id": case_id}})
 
 
 def _primes_of(n: int):
@@ -178,14 +181,6 @@ def _sq_fn(g: GroupSpec, hi=Fraction(1)):
     return QuadraticFn(dom, ((Fraction(1),),), (Fraction(0),), Fraction(0))
 
 
-def _pair_payload(g, pair: ConvexPair):
-    return {
-        "group": serialize_group(g),
-        "endo": serialize_endo(pair.endo),
-        "t": format_rational(pair.t),
-    }
-
-
 # -- group_core suites -----------------------------------------------------
 
 
@@ -212,18 +207,16 @@ def suite_norm_axioms(rng, caps, camp: Campaign):
             if g.dnorm(g.add(x, y)) > g.dnorm(x) + g.dnorm(y):
                 ok, witness = False, {"x": str(x.coords), "y": str(y.coords)}
                 break
-        camp.add(f"norm-axioms/{gi}", ok, witness,
-                 alarm_payload=dict(group=serialize_group(g)))
+        camp.add(f"norm-axioms/{gi}", ok, witness)
 
 
 def suite_mu_bounds(rng, caps, camp: Campaign):
     ngroups = max(2, caps["cases"] // 20)
     for gi in range(ngroups):
         g = gen_cyclic_group(rng, caps["max_order"], caps["max_rank"])
-        payload = dict(group=serialize_group(g))
         elems = [x for x in g.elements() if g.dnorm(x) != 0]
         ok = mu_d(g, 1, "enumerated") == 1 and n_norm(g, 1, "enumerated") == 1
-        camp.add(f"mu-unit/{gi}", ok, alarm_payload=payload)
+        camp.add(f"mu-unit/{gi}", ok)
         mus = {n: mu_d(g, n, "enumerated") for n in range(1, 7)}
         nns = {n: n_norm(g, n, "enumerated") for n in range(1, 7)}
         ok = all(
@@ -231,15 +224,15 @@ def suite_mu_bounds(rng, caps, camp: Campaign):
             for n in range(1, 7)
             for x in elems
         )
-        camp.add(f"mu-sandwich/{gi}", ok, alarm_payload=payload)
+        camp.add(f"mu-sandwich/{gi}", ok)
         ok = all(
             mu_d(g, n * m, "enumerated") >= mus[n] * mus[m]
             for n in range(1, 7)
             for m in range(1, 7)
         )
-        camp.add(f"mu-submult/{gi}", ok, alarm_payload=payload)
+        camp.add(f"mu-submult/{gi}", ok)
         ok = all(mu_d(g, n, "enumerated") <= 1 for n in range(1, g.exponent + 1))
-        camp.add(f"mu-bounded/{gi}", ok, alarm_payload=payload)
+        camp.add(f"mu-bounded/{gi}", ok)
     # infinite carriers: the abs metric gives mu_d(n) = |n| exactly
     infinite = [lattice_group(1), lattice_group(2), nadic_group(2), nadic_group(6, 2)]
     for gi, g in enumerate(infinite):
@@ -251,8 +244,7 @@ def suite_mu_bounds(rng, caps, camp: Campaign):
                 nx = g.dnorm(x)
                 if not (mu * nx <= g.dnorm(g.scalar_mul(n, x)) <= nn * nx):
                     ok = False
-        camp.add(f"mu-infinite/{gi}", ok,
-                 alarm_payload=dict(group=serialize_group(g)))
+        camp.add(f"mu-infinite/{gi}", ok)
 
 
 # -- endo_algebra suites ---------------------------------------------------
@@ -262,10 +254,6 @@ def suite_ring_laws(rng, caps, camp: Campaign):
     for i in range(caps["cases"]):
         g = gen_cyclic_group(rng, caps["max_order"], caps["max_rank"])
         t, s, r = (gen_endo(rng, g) for _ in range(3))
-        payload = dict(
-            group=serialize_group(g),
-            endos=[serialize_endo(e) for e in (t, s, r)],
-        )
         assoc = compose(compose(t, s), r).key() == compose(t, compose(s, r)).key()
         ldist = compose(t, Endo(g, linalg.mat_add(s.matrix, r.matrix))).key() == Endo(
             g, linalg.mat_add(compose(t, s).matrix, compose(t, r).matrix)
@@ -273,11 +261,7 @@ def suite_ring_laws(rng, caps, camp: Campaign):
         invol = complement(complement(t)).key() == t.key()
         pw0 = power(t, 0).key() == identity_endo(g).key()
         norm_ok = operator_norm(compose(t, s)) <= operator_norm(t) * operator_norm(s)
-        camp.add(
-            f"ring/{i}",
-            assoc and ldist and invol and pw0 and norm_ok,
-            alarm_payload=payload,
-        )
+        camp.add(f"ring/{i}", assoc and ldist and invol and pw0 and norm_ok)
 
 
 def suite_spectral_neumann(rng, caps, camp: Campaign):
@@ -285,14 +269,13 @@ def suite_spectral_neumann(rng, caps, camp: Campaign):
     for i in range(caps["cases"]):
         m = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
         t = validate_endo(g, m)
-        payload = dict(group=serialize_group(g), endo=serialize_endo(t))
         if spectral_radius(t).is_nilpotent:
             try:
                 inv = neumann_inverse(t)
                 ok = compose(complement(t), inv).matrix == identity_endo(g).matrix
             except NotInvertible:
                 ok = False
-            camp.add(f"neumann/{i}", ok, alarm_payload=payload)
+            camp.add(f"neumann/{i}", ok)
         else:
             camp.add(f"neumann-skip/{i}", True)
     for i in range(max(5, caps["cases"] // 10)):
@@ -301,11 +284,7 @@ def suite_spectral_neumann(rng, caps, camp: Campaign):
         if spectral_radius(t).is_nilpotent:
             inv = neumann_inverse(t)
             ok = compose(complement(t), inv).key() == identity_endo(gc).key()
-            camp.add(
-                f"neumann-cyclic/{i}", ok,
-                alarm_payload=dict(group=serialize_group(gc),
-                                   endo=serialize_endo(t)),
-            )
+            camp.add(f"neumann-cyclic/{i}", ok)
         else:
             camp.add(f"neumann-cyclic-skip/{i}", True)
 
@@ -317,9 +296,8 @@ def suite_midpoint_convexity(rng, caps, camp: Campaign):
         g = cyclic_group(m)
         t = multiplication_endo(g, t_scalar)
         two_t_minus_i = multiplication_endo(g, (2 * t_scalar - 1) % m)
-        payload = dict(group=serialize_group(g), endo=serialize_endo(t))
         if not spectral_radius(two_t_minus_i).is_nilpotent:
-            camp.add(f"midpoint/{label}/cert", False, alarm_payload=payload)
+            camp.add(f"midpoint/{label}/cert", False)
             continue
         half = pow(2, -1, m)
         rows = combo_table(whole_group_set(g), t)
@@ -338,7 +316,7 @@ def suite_midpoint_convexity(rng, caps, camp: Campaign):
                     break
             if bad:
                 break
-        camp.add(f"midpoint/{label}", bad is None, bad, alarm_payload=payload)
+        camp.add(f"midpoint/{label}", bad is None, bad)
 
 
 # -- convex_sets suites ----------------------------------------------------
@@ -360,8 +338,6 @@ def suite_semigroup_combination(rng, caps, camp: Campaign):
         td = enumerate_TD(d)
         keys = td.keys()
         members = list(td)
-        payload = dict(group=serialize_group(g),
-                       domain=[str(e.coords) for e in d.elements])
         if len(members) ** 3 <= per_domain:
             triples = list(itertools.product(members, repeat=3))
         else:
@@ -381,7 +357,6 @@ def suite_semigroup_combination(rng, caps, camp: Campaign):
                 f"semigroup/{i}/{j}", ok,
                 None if ok else {"t": serialize_endo(t), "t1": serialize_endo(t1),
                                  "t2": serialize_endo(t2)},
-                alarm_payload=payload,
             )
 
 
@@ -392,14 +367,11 @@ def suite_closure_generated(rng, caps, camp: Campaign):
         g, d = _small_group_and_domain(rng, caps)
         td = enumerate_TD(d)
         closed = closure_generate(g, list(td), budget=4 * max(1, len(td)) + 16)
-        payload = dict(group=serialize_group(g),
-                       domain=[str(e.coords) for e in d.elements])
         if closed.truncated:
             camp.add(f"generated/{i}/truncated", True)
             continue
         for j, key in enumerate(sorted(closed.keys())):
-            camp.add(f"generated/{i}/{j}", key in td.keys(),
-                     alarm_payload=payload)
+            camp.add(f"generated/{i}/{j}", key in td.keys())
 
 
 def suite_radstrom(rng, caps, camp: Campaign):
@@ -415,14 +387,7 @@ def suite_radstrom(rng, caps, camp: Campaign):
         a = finite_set(g, a_pts)
         c = finite_set(g, c_pts)
         rep = radstrom_check(a, b, c, 2)
-        payload = dict(
-            group=serialize_group(g),
-            A=[[format_rational(Fraction(v)) for v in e.coords] for e in a.elements],
-            B={"lower": ["0"], "upper": [format_rational(hi)]},
-            C=[[format_rational(Fraction(v)) for v in e.coords] for e in c.elements],
-        )
-        camp.add(f"radstrom/{i}", rep.verdict, rep.witness,
-                 audit=rep.audit, alarm_payload=payload)
+        camp.add(f"radstrom/{i}", rep.verdict, rep.witness, audit=rep.audit)
     # finite carriers must always fail the injectivity-measure hypothesis
     for i in range(max(3, caps["cases"] // 20)):
         gc = gen_cyclic_group(rng, caps["max_order"], 1)
@@ -434,8 +399,7 @@ def suite_radstrom(rng, caps, camp: Campaign):
                 h.startswith("mu_d") and status == FAILED for h, status in rep.audit
             ):
                 expected = False
-        camp.add(f"radstrom-finite/{i}", expected,
-                 alarm_payload=dict(group=serialize_group(gc)))
+        camp.add(f"radstrom-finite/{i}", expected)
 
 
 # -- convex_functions suites -----------------------------------------------
@@ -452,20 +416,13 @@ def suite_prop_ls(rng, caps, camp: Campaign):
         levels_ok = all(
             is_T_convex(level_set(f, c), t).verdict for c in set(f.values)
         )
-        payload = dict(group=serialize_group(g), fn=serialize_fn(f),
-                       endo=serialize_endo(t), kind=QUASICONVEX)
-        camp.add(f"prop-ls/fn/{i}", qc == levels_ok, alarm_payload=payload)
+        camp.add(f"prop-ls/fn/{i}", qc == levels_ok)
         elems = list(g.elements())
         s = finite_set(g, rng.sample(elems, rng.randint(1, len(elems))))
         chi = neg_char_fn(s, domain)
         s_conv = is_T_convex(s, t).verdict
         chi_qc = check_inequality(QUASICONVEX, chi, pair).verdict
-        camp.add(
-            f"prop-ls/set/{i}", s_conv == chi_qc,
-            alarm_payload=dict(
-                group=serialize_group(g), endo=serialize_endo(t),
-                subset=[str(e.coords) for e in s.elements]),
-        )
+        camp.add(f"prop-ls/set/{i}", s_conv == chi_qc)
 
 
 def brute_envelope(f, ts):
@@ -509,10 +466,7 @@ def suite_envelope_oracle(rng, caps, camp: Campaign):
     g5 = cyclic_group(5)
     f5 = table_fn(whole_group_set(g5), [Fraction(v) for v in (0, 1, 2, 1, 0)])
     env5 = qconv_envelope(f5, [multiplication_endo(g5, 3)])
-    camp.add(
-        "envelope/z5-hand", all(v == 0 for v in env5.values),
-        alarm_payload=dict(group=serialize_group(g5), fn=serialize_fn(f5)),
-    )
+    camp.add("envelope/z5-hand", all(v == 0 for v in env5.values))
     for i in range(caps["cases"]):
         order = rng.choice([3, 3, 4, 4, 5, 6])
         g = cyclic_group(order)
@@ -534,9 +488,6 @@ def suite_envelope_oracle(rng, caps, camp: Campaign):
             f"envelope/{i}", ok,
             None if ok else {"env": [str(v) for v in env.values],
                              "oracle": [str(v) for v in oracle.values]},
-            alarm_payload=dict(
-                group=serialize_group(g), fn=serialize_fn(f),
-                endos=[serialize_endo(t) for t in ts]),
         )
 
 
@@ -595,18 +546,7 @@ def _composite_suite(kind, tag):
             if kind == WRIGHT:
                 p2, found = p1, [found[0], found[1], found[1]]
             derived = compose_pair(outer, p1, p2)
-            camp.add(
-                f"{tag}/{produced}", _holds(kind, d, vals, derived.pair), None,
-                alarm_payload=dict(
-                    group=serialize_group(g),
-                    fn=serialize_fn(table_fn(d, vals)),
-                    endo=serialize_endo(derived.pair.endo),
-                    t=format_rational(derived.pair.t),
-                    kind=kind,
-                    inputs=[[int(p.endo.matrix[0][0]), format_rational(p.t)]
-                            for p in found],
-                ),
-            )
+            camp.add(f"{tag}/{produced}", _holds(kind, d, vals, derived.pair))
             produced += 1
 
     return run
@@ -642,15 +582,6 @@ def _scalar_family(rng, d, kind, count, tries=60):
     return pair, [[k] * m for k in range(count)]
 
 
-def _family_payload(g, d, pair: ConvexPair, kind, fams):
-    return dict(
-        group=serialize_group(g),
-        endo=serialize_endo(pair.endo),
-        t=format_rational(pair.t), kind=kind,
-        fns=[serialize_fn(table_fn(d, v)) for v in fams],
-    )
-
-
 def _pointwise_suite(kind, tag, with_sum_scale, with_sup):
     def run(rng, caps, camp: Campaign):
         for i in range(caps["cases"]):
@@ -658,11 +589,9 @@ def _pointwise_suite(kind, tag, with_sum_scale, with_sup):
             g = cyclic_group(m)
             d = whole_group_set(g)
             pair, fams = _scalar_family(rng, d, kind, 3)
-            payload = _family_payload(g, d, pair, kind, fams)
             if with_sup:
                 sup = [max(col) for col in zip(*fams)]
-                camp.add(f"{tag}/sup/{i}", _holds(kind, d, sup, pair),
-                         alarm_payload=payload)
+                camp.add(f"{tag}/sup/{i}", _holds(kind, d, sup, pair))
             # pointwise-decreasing chain whose steps stay inside the class:
             # clamping from above preserves quasiconvexity, constant shifts
             # preserve the additive-inequality classes
@@ -673,15 +602,12 @@ def _pointwise_suite(kind, tag, with_sum_scale, with_sup):
             inf = [min(col) for col in zip(*chain)]
             camp.add(f"{tag}/chain-inf/{i}",
                      _holds(kind, d, inf, pair)
-                     and all(_holds(kind, d, step, pair) for step in chain),
-                     alarm_payload=payload)
+                     and all(_holds(kind, d, step, pair) for step in chain))
             if with_sum_scale:
                 total = [u + v for u, v in zip(fams[0], fams[1])]
                 scaled = [Fraction(3, 2) * v for v in fams[0]]
-                camp.add(f"{tag}/sum/{i}", _holds(kind, d, total, pair),
-                         alarm_payload=payload)
-                camp.add(f"{tag}/scale/{i}", _holds(kind, d, scaled, pair),
-                         alarm_payload=payload)
+                camp.add(f"{tag}/sum/{i}", _holds(kind, d, total, pair))
+                camp.add(f"{tag}/scale/{i}", _holds(kind, d, scaled, pair))
 
     return run
 
@@ -702,23 +628,11 @@ def suite_closure_quasi(rng, caps, camp: Campaign):
             continue
         f1, f2 = table_fn(d, fams[0]), table_fn(d, fams[1])
         conv = diamond_conv(f1, f2)
-        camp.add(
-            f"quasi/diamond/{i}",
-            check_inequality(QUASICONVEX, conv, pair).verdict,
-            alarm_payload=dict(group=serialize_group(g),
-                               fns=[serialize_fn(f1), serialize_fn(f2)],
-                               pair=_pair_payload(g, pair)),
-        )
+        camp.add(f"quasi/diamond/{i}", check_inequality(QUASICONVEX, conv, pair).verdict)
         amap = multiplication_endo(g, rng.randrange(m))  # commutes with pair
         pushed = transport(f1, amap, "pushforward")
-        camp.add(
-            f"quasi/transport/{i}",
-            check_inequality(QUASICONVEX, pushed, pair).verdict,
-            alarm_payload=dict(group=serialize_group(g),
-                               fn=serialize_fn(f1),
-                               map=serialize_endo(amap),
-                               pair=_pair_payload(g, pair)),
-        )
+        camp.add(f"quasi/transport/{i}",
+                 check_inequality(QUASICONVEX, pushed, pair).verdict)
 
 
 def suite_closure_convex(rng, caps, camp: Campaign):
@@ -733,14 +647,8 @@ def suite_closure_convex(rng, caps, camp: Campaign):
         if len(fams) < 2:
             continue
         f1, f2 = table_fn(d, fams[0]), table_fn(d, fams[1])
-        camp.add(
-            f"convex/infconv/{i}",
-            check_inequality(TTCONVEX, inf_conv(f1, f2), pair).verdict,
-            alarm_payload=dict(
-                group=serialize_group(g),
-                fns=[serialize_fn(f1), serialize_fn(f2)],
-                pair=_pair_payload(g, pair)),
-        )
+        camp.add(f"convex/infconv/{i}",
+                 check_inequality(TTCONVEX, inf_conv(f1, f2), pair).verdict)
 
 
 def suite_closure_affine(rng, caps, camp: Campaign):
@@ -749,12 +657,9 @@ def suite_closure_affine(rng, caps, camp: Campaign):
         g = cyclic_group(m)
         d = whole_group_set(g)
         pair, fams = _scalar_family(rng, d, TT_AFFINE, 3)
-        payload = _family_payload(g, d, pair, TT_AFFINE, fams)
-        camp.add(f"affine/limit/{i}", _holds(TT_AFFINE, d, fams[-1], pair),
-                 alarm_payload=payload)
+        camp.add(f"affine/limit/{i}", _holds(TT_AFFINE, d, fams[-1], pair))
         combo = [Fraction(2) * v + Fraction(5, 2) for v in fams[0]]
-        camp.add(f"affine/combo/{i}", _holds(TT_AFFINE, d, combo, pair),
-                 alarm_payload=payload)
+        camp.add(f"affine/combo/{i}", _holds(TT_AFFINE, d, combo, pair))
 
 
 def suite_hconv(rng, caps, camp: Campaign):
@@ -779,13 +684,7 @@ def suite_hconv(rng, caps, camp: Campaign):
         for w, x in zip(weights, xs):
             combo += w * x.coords[0]
             val += w * f(x)
-        ok = base_ok and f(g.reduce([combo])) <= val
-        camp.add(
-            f"hconv/{i}", ok,
-            alarm_payload=dict(
-                t=format_rational(t),
-                weights=[format_rational(w) for w in weights]),
-        )
+        camp.add(f"hconv/{i}", base_ok and f(g.reduce([combo])) <= val)
 
 
 # -- derivation suites -----------------------------------------------------
@@ -806,22 +705,18 @@ def suite_wright_grid(rng, caps, camp: Campaign):
             continue
         x = g.reduce([Fraction(rng.randint(0, 8), 8)])
         y = g.reduce([Fraction(rng.randint(0, 9), 9)])
-        payload = dict(t=format_rational(t), n=n, k=k,
-                       x=format_rational(x.coords[0]),
-                       y=format_rational(y.coords[0]))
         try:
             rep = u_grid_verify(f, t_endo, n, k, x, y)
-            camp.add(f"grid/{i}", rep.verdict, rep.witness, alarm_payload=payload)
+            camp.add(f"grid/{i}", rep.verdict, rep.witness)
         except DeriveError as exc:
-            camp.add(f"grid/{i}", False, {"error": str(exc)}, alarm_payload=payload)
+            camp.add(f"grid/{i}", False, {"error": str(exc)})
         try:
             derived = wright_ratio_derive(t_endo, n, k)
         except NotInvertible:
             camp.add(f"ratio-skip/{i}", True)
             continue
         rep = check_inequality(WRIGHT, f, derived.pair, probes=30, seed=i)
-        camp.add(f"ratio/{i}", rep.verdict, rep.witness,
-                 audit=derived.audit, alarm_payload=payload)
+        camp.add(f"ratio/{i}", rep.verdict, rep.witness, audit=derived.audit)
 
 
 def suite_last_coefficients(rng, caps, camp: Campaign):
@@ -836,8 +731,7 @@ def suite_last_coefficients(rng, caps, camp: Campaign):
         and anchor.details["coefficients"] == ["0", "4/3", "2/3", "0"]
         and anchor.may_alarm
     )
-    camp.add("last/hand", ok, audit=anchor.audit,
-             alarm_payload=dict(t=["1/2", "1/2"], k=1))
+    camp.add("last/hand", ok, audit=anchor.audit)
     for i in range(caps["cases"]):
         n = rng.randint(1, 5)
         k = rng.randint(1, n)
@@ -855,17 +749,14 @@ def suite_last_coefficients(rng, caps, camp: Campaign):
         )
         g = nadic_group(base)
         pairs = [ConvexPair(scaled_identity(g, t), t) for t in ts]
-        payload = dict(base=base, k=k, t=[format_rational(t) for t in ts])
         try:
             derived = last_derive(pairs, k)
         except (DeriveError, NotInvertible) as exc:
-            camp.add(f"last/{i}", False, {"error": str(exc)}, alarm_payload=payload)
+            camp.add(f"last/{i}", False, {"error": str(exc)})
             continue
-        camp.add(f"last/{i}", derived.may_alarm, None,
-                 audit=derived.audit, alarm_payload=payload)
+        camp.add(f"last/{i}", derived.may_alarm, audit=derived.audit)
         rep = check_inequality(TTCONVEX, _sq_fn(g), derived.pair, probes=20, seed=i)
-        camp.add(f"last-recheck/{i}", rep.verdict, rep.witness,
-                 alarm_payload=payload)
+        camp.add(f"last-recheck/{i}", rep.verdict, rep.witness)
 
 
 def suite_kuhn_chain(rng, caps, camp: Campaign):
@@ -879,10 +770,8 @@ def suite_kuhn_chain(rng, caps, camp: Campaign):
             rep = check_inequality(
                 TTCONVEX, f, dp.pair, probes=per_pair, seed=rng.randint(0, 10**6)
             )
-            camp.add(
-                f"kuhn/{base}/{j + 1}-of-{n}", rep.verdict, rep.witness,
-                audit=dp.audit, alarm_payload=_pair_payload(g, dp.pair),
-            )
+            camp.add(f"kuhn/{base}/{j + 1}-of-{n}", rep.verdict, rep.witness,
+                     audit=dp.audit)
 
 
 def suite_twa_roundtrip(rng, caps, camp: Campaign):
@@ -900,19 +789,13 @@ def suite_twa_roundtrip(rng, caps, camp: Campaign):
             and dec.c == c
             and all(dec.reconstruct(x) == a(x) for x in window.elements)
         )
-        camp.add(
-            f"twa/{i}", ok, dec.residual,
-            alarm_payload=dict(q=format_rational(q),
-                               b=format_rational(b),
-                               c=format_rational(c)),
-        )
+        camp.add(f"twa/{i}", ok, dec.residual)
         if i % 5 == 0:
             cubic = table_fn(
                 window, [x**3 + q * x * x + b * x + c for x in range(-4, 5)]
             )
             dec3 = twa_decompose(cubic)
-            camp.add(f"twa-cubic/{i}", not dec3.ok and dec3.residual is not None,
-                     alarm_payload=dict(kind="cubic"))
+            camp.add(f"twa-cubic/{i}", not dec3.ok and dec3.residual is not None)
 
 
 def suite_rode_support(rng, caps, camp: Campaign):
@@ -930,10 +813,6 @@ def suite_rode_support(rng, caps, camp: Campaign):
                 f"rode/{i}/p={p.coords[0]}", ok,
                 None if ok else {"contradiction": str(result.contradiction)},
                 audit=result.audit if ok else (),
-                alarm_payload=dict(q=format_rational(q),
-                                   b=format_rational(b),
-                                   c=format_rational(c),
-                                   p=str(p.coords[0])),
             )
 
 
@@ -974,11 +853,11 @@ def run_suite(config: SuiteConfig) -> CampaignReport:
     caps = with_defaults(config.caps)
     start = time.monotonic()
     if config.suite == "all":
-        camp = Campaign("all")
+        camp = Campaign("all", config.seed, caps)
         small = dict(caps)
         small["cases"] = min(caps["cases"], 20)
         for name, fn in REGISTRY.items():
-            sub = Campaign(name)
+            sub = Campaign(name, config.seed, small)
             fn(random.Random(config.seed), small, sub)
             for entry in sub.report.results:
                 entry = dict(entry)
@@ -996,25 +875,23 @@ def run_suite(config: SuiteConfig) -> CampaignReport:
         fn = REGISTRY.get(config.suite)
         if fn is None:
             raise SuiteError(f"unknown suite {config.suite!r}")
-        camp = Campaign(config.suite)
+        camp = Campaign(config.suite, config.seed, caps)
         fn(random.Random(config.seed), caps, camp)
     camp.report.elapsed_ms = int((time.monotonic() - start) * 1000)
     return camp.report
 
 
-def replay_alarm(alarm: dict):
-    """Re-run the single check encoded in an alarm case.
+def replay_alarm(alarm: dict) -> dict:
+    """The result entry ``{"id", "verdict"[, "witness"]}`` of an alarm's
+    case, from a re-run of the suite run the alarm records.
 
-    Supports the payload shape group + fn + endo + t (+ kind): the
-    compose-* alarms and the function cases of prop-ls.  Any other
-    payload raises SuiteError.
+    The whole suite runs again, since its cases share one random stream.
+    An unknown suite, or a case id the run does not produce, raises
+    SuiteError.
     """
     case = alarm["case"]
-    if not {"group", "fn", "endo"} <= case.keys():
-        raise SuiteError("alarm payload is not replayable with this helper")
-    g = deserialize_group(case["group"])
-    f = deserialize_fn(g, case["fn"])
-    t = deserialize_endo(g, case["endo"])
-    kind = case.get("kind", QUASICONVEX)
-    tval = parse_rational(case.get("t", "1/2"))
-    return check_inequality(kind, f, ConvexPair(t, tval))
+    report = run_suite(SuiteConfig(case["suite"], case["seed"], case["caps"]))
+    for entry in report.results:
+        if entry["id"] == case["id"]:
+            return entry
+    raise SuiteError(f"suite {case['suite']!r} has no case {case['id']!r}")

@@ -253,3 +253,27 @@ def test_unexpected_errors_exit_four(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: internal:") and "boom" in err
     assert "Traceback" not in err
+
+
+REQUIRED = {
+    "derive": ["--rule", "kuhn", "--input", "-"],
+    "envelope": ["--fn", "-", "--endos", "-"],
+    "semigroup": ["--input", "-"],
+    "decompose": ["--input", "-"],
+    "support": ["--input", "-"],
+    "spectral": ["--input", "-"],
+    "suite": ["--id", "empty"],
+}
+UNREAD_FLAGS = [(cmd, flag) for cmd in ("derive", "envelope", "decompose", "support",
+                                        "spectral")
+                for flag in (["--seed", "1"], ["--budget", "5"], ["--exhaustive"])]
+UNREAD_FLAGS += [("semigroup", ["--seed", "1"]), ("suite", ["--exhaustive"])]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS,
+                         ids=[f"{c}{f[0]}" for c, f in UNREAD_FLAGS])
+def test_flags_a_subcommand_does_not_read_exit_two(command, flag, capsys):
+    from tconvex import cli
+
+    assert cli.cli_dispatch([command, *REQUIRED[command], *flag]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -23,11 +23,12 @@ from tconvex import (
     lattice_group,
     nadic_group,
     scaled_identity,
+    table_fn,
 )
 from tconvex.endos import Endo
 from tconvex.functions import FnError, Interval, _violates
 from tconvex.rationals import format_ext
-from tconvex.report import SAMPLED, Report
+from tconvex.report import EXHAUSTIVE, SAMPLED, Report
 from tconvex.sets import SetError
 
 F = Fraction
@@ -44,8 +45,6 @@ def ref_witness(x, y, z, sides=None):
 
 
 def ref_sample(d, rng):
-    if d.is_finite:
-        return rng.choice(d.elements)
     g, coords = d.group, []
     for lo, hi in zip(d.lower, d.upper):
         denom = g.base ** rng.randint(0, 6)
@@ -63,8 +62,6 @@ def ref_convexity(d, t, probes, seed):
             report = Report("is_T_convex", False, SAMPLED, witness=ref_witness(x, y, z))
             break
         triples.append((x, y, z))
-    if d.is_finite:
-        report = is_T_convex(d, t)
     return report, triples
 
 
@@ -218,6 +215,8 @@ def test_box_that_is_not_T_convex():
 
 
 def test_quadratics_on_finite_domains_match_the_reference():
+    """The reference for a quadratic on a finite domain is the exhaustive
+    check of the table of its values."""
     cases = [
         (cyclic_group(5), list(cyclic_group(5).elements()), ((F(3),),)),
         (cyclic_group(4, 2), list(cyclic_group(4, 2).elements()), ((F(3), F(0)), (F(0), F(1)))),
@@ -229,14 +228,38 @@ def test_quadratics_on_finite_domains_match_the_reference():
         f = quadratic(finite_set(g, elems), [[1 if i == j else 0 for j in range(r)]
                                                for i in range(r)], [-1] * r, 0)
         endo = Endo(g, matrix)
+        table = table_fn(f.domain, [f(x) for x in f.domain.elements])
         for kind in KINDS:
             for t in (F(0), F(1, 2), F(1)):
                 pair = ConvexPair(endo, t)
-                same(lambda: ref_check(kind, f, pair, 40, 9),
+                same(lambda: check_inequality(kind, table, pair),
                      lambda: check_inequality(kind, f, pair, probes=40, seed=9))
         for mode in ("convex", "affine"):
-            same(lambda: ref_interval(f, endo, mode, 40, 9),
+            same(lambda: convexity_interval(table, endo, mode),
                  lambda: convexity_interval(f, endo, mode, probes=40, seed=9))
+
+
+@pytest.mark.parametrize("probes", [1, 5])
+def test_quadratic_on_z5_fails_exhaustively(probes):
+    g = cyclic_group(5)
+    f = quadratic(finite_set(g, g.elements()), [[1]], [-1], 0)  # x^2 - x
+    pair = ConvexPair(Endo(g, ((F(3),),)), F(1, 2))
+    rep = check_inequality("ttconvex", f, pair, probes=probes)
+    assert (rep.verdict, rep.mode, rep.details.get("probes")) == (False, EXHAUSTIVE, None)
+    assert rep.witness == {"x": ["0"], "y": ["1"], "z": ["3"], "lhs": "6", "rhs": "0"}
+    assert convexity_interval(f, pair.endo, probes=probes) == Interval.none()
+
+
+@pytest.mark.parametrize("probes, seed", [(1, 0), (3, 0), (1, 2)])
+def test_boxes_without_grid_points_fail_up_front(probes, seed):
+    # [1/3, 1/2] holds no integer, so the exponent-0 draw has nothing to pick
+    f = quadratic(box_set(G2, [F(1, 3)], [F(1, 2)]), [[1]], [0], 0)
+    pair = ConvexPair(scaled_identity(G2, F(1, 2)), F(1, 2))
+    for call in (lambda: check_inequality("ttconvex", f, pair, probes=probes, seed=seed),
+                 lambda: convexity_interval(f, pair.endo, probes=probes, seed=seed),
+                 lambda: is_T_convex(f.domain, pair.endo, probes=probes, seed=seed)):
+        with pytest.raises(SetError, match=r"1/3.*1/2.*e = 0 in coordinate 0"):
+            call()
 
 
 def test_probes_count_the_pairs_evaluated():

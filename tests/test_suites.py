@@ -11,17 +11,19 @@ from tconvex import (
     multiplication_endo,
     replay_alarm,
     run_suite,
-    serialize_endo,
-    serialize_fn,
-    serialize_group,
     table_fn,
     whole_group_set,
 )
 from tconvex import suites
+from tconvex.generators import with_defaults
 from tconvex.report import EXHAUSTIVE, Report
 from tconvex.suites import REGISTRY, brute_envelope
 
 SMALL = {"cases": 15}
+
+
+def _failing_check(kind, f, pair, **kwargs):
+    return Report(f"check:{kind}", False, EXHAUSTIVE)
 
 
 def _stripped(report):
@@ -69,45 +71,10 @@ def test_aggregate_suite_prefixes_case_ids():
     assert rep.alarms == []
 
 
-def test_alarm_payloads_replay_to_the_same_verdict():
-    g = cyclic_group(5)
-    f = table_fn(whole_group_set(g), [0, 1, 2, 1, 0])
-    t = multiplication_endo(g, 3)
-    # a crafted failing case, exactly as suites serialize alarms
-    alarm = {
-        "id": "crafted/0",
-        "case": {
-            "group": serialize_group(g),
-            "fn": serialize_fn(f),
-            "endo": serialize_endo(t),
-            "kind": "quasiconvex",
-            "t": "1/2",
-        },
-    }
-    rep = replay_alarm(alarm)
-    assert not rep.verdict
-    direct = check_inequality("quasiconvex", f, ConvexPair(t, __import__(
-        "fractions").Fraction(1, 2)))
-    assert rep.witness == direct.witness
-
-
-def test_unsupported_alarm_payloads_raise_suite_error():
-    for case in (
-        {"t": "1/2", "weights": ["1/2", "1/2"]},  # hconv: no group
-        {"q": "1", "b": "0", "c": "0", "p": "2"},  # rode-support
-        {"group": serialize_group(cyclic_group(5)), "fns": [], "endo": {}},
-    ):
-        with pytest.raises(SuiteError):
-            replay_alarm({"id": "x/0", "case": case})
-
-
 def test_closure_and_compose_cases_go_through_the_public_checker(monkeypatch):
     """With the checker the suites import stubbed to fail, every closure
     and composition case that checks an inequality raises an alarm."""
-    def failing(kind, f, pair, **kwargs):
-        return Report(f"check:{kind}", False, EXHAUSTIVE)
-
-    monkeypatch.setattr(suites, "check_inequality", failing)
+    monkeypatch.setattr(suites, "check_inequality", _failing_check)
     caps = {"cases": 3}
     for sid, tags in (
         ("closure-quasi", ("quasi/sup", "quasi/chain-inf")),
@@ -122,6 +89,58 @@ def test_closure_and_compose_cases_go_through_the_public_checker(monkeypatch):
                      ("compose-convex", "compose-c"), ("compose-affine", "compose-a")):
         rep = run_suite(SuiteConfig(sid, seed=2, caps=caps))
         assert {a["id"] for a in rep.alarms} == {f"{tag}/{i}" for i in range(3)}, sid
+
+
+def _round_trip(alarm):
+    return json.loads(json.dumps(alarm))
+
+
+def test_stubbed_alarms_replay_to_their_entries(monkeypatch):
+    """Every alarm of the closure, compose and prop-ls suites, with the
+    checker stubbed to fail, replays from its JSON to its own entry."""
+    monkeypatch.setattr(suites, "check_inequality", _failing_check)
+    for sid in ("closure-quasi", "closure-wright", "closure-convex", "closure-affine",
+                "compose-quasi", "compose-wright", "compose-convex", "compose-affine",
+                "prop-ls"):
+        rep = run_suite(SuiteConfig(sid, seed=2, caps={"cases": 1}))
+        entries = {r["id"]: r for r in rep.results}
+        assert rep.alarms, sid
+        for alarm in rep.alarms:
+            assert alarm["case"] == {"suite": sid, "seed": 2, "caps": with_defaults(
+                {"cases": 1}), "id": alarm["id"]}
+            assert replay_alarm(_round_trip(alarm)) == entries[alarm["id"]]
+
+
+def test_any_case_replays_from_its_run():
+    caps = with_defaults({"cases": 5})
+    for sid in REGISTRY:
+        results = run_suite(SuiteConfig(sid, seed=4, caps={"cases": 5})).results
+        if not results:
+            continue
+        last = results[-1]
+        case = {"suite": sid, "seed": 4, "caps": caps, "id": last["id"]}
+        assert replay_alarm({"id": last["id"], "case": case}) == last, sid
+
+
+def test_aggregate_alarms_replay_their_sub_suite(monkeypatch):
+    monkeypatch.setattr(suites, "check_inequality", _failing_check)
+    rep = run_suite(SuiteConfig("all", seed=1, caps={"cases": 3}))
+    alarm = next(a for a in rep.alarms if a["id"].startswith("compose-convex/"))
+    case = alarm["case"]
+    assert case["suite"] == "compose-convex" and case["caps"]["cases"] == 3
+    assert alarm["id"] == f"compose-convex/{case['id']}"
+    entry = next(r for r in rep.results if r["id"] == alarm["id"])
+    assert replay_alarm(_round_trip(alarm)) == {**entry, "id": case["id"]}
+
+
+def test_replay_of_an_unknown_suite_or_case_raises():
+    caps = with_defaults(None)
+    with pytest.raises(SuiteError):
+        replay_alarm({"id": "x/0", "case": {"suite": "no-such-suite", "seed": 0,
+                                            "caps": caps, "id": "x/0"}})
+    with pytest.raises(SuiteError):
+        replay_alarm({"id": "x/0", "case": {"suite": "ring-laws", "seed": 0,
+                                            "caps": {"cases": 2}, "id": "ring/2"}})
 
 
 def test_report_schema():
