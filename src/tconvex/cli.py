@@ -105,8 +105,7 @@ def cmd_check(args) -> int:
     f = deserialize_fn(g, fdoc["fn"] if "fn" in fdoc else fdoc)
     edoc = _load(args.endo)
     pair = _pair_from(g, edoc, args.t)
-    probes = args.budget * (10 if args.exhaustive else 1)
-    rep = check_inequality(args.kind, f, pair, probes=probes, seed=args.seed)
+    rep = check_inequality(args.kind, f, pair, probes=args.budget, seed=args.seed)
     _emit({"kind": args.kind, "verdict": rep.verdict, "mode": rep.mode,
            "probes": rep.details.get("probes"), "witness": rep.witness,
            "audit": rep.audit})
@@ -228,9 +227,9 @@ def cmd_generate(args) -> int:
 
 def cmd_suite(args) -> int:
     caps = {}
-    if args.cases:
+    if args.cases is not None:
         caps["cases"] = args.cases
-    if args.budget:
+    if args.budget is not None:
         caps["probes"] = args.budget
     config = SuiteConfig(args.id, seed=args.seed, caps=caps or None)
     try:
@@ -267,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=1000, help="probe budget")
-    p.add_argument("--exhaustive", action="store_true")
     p.set_defaults(fn_impl=cmd_check)
 
     p = sub.add_parser("derive", help="derive new convexity pairs")
@@ -310,10 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run a property campaign")
     p.add_argument("--id", required=True)
-    p.add_argument("--cases", type=int, default=0)
+    p.add_argument("--cases", type=int, default=None)
     p.add_argument("--output", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=1000, help="probe budget")
+    p.add_argument("--budget", type=int, default=None, help="probe budget")
     p.set_defaults(fn_impl=cmd_suite)
 
     return parser

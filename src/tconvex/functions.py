@@ -1,17 +1,19 @@
 """Extended-real functions on group subsets and every convexity notion:
 the four inequality kinds, level sets, the two convolutions, transport,
-the quasiconvex envelope, parameter intervals and epigraph/graph lifts."""
+the quasiconvex envelope, parameter intervals, epigraph/graph lifts and
+exact member catalogues of small tables on Z_m."""
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from . import linalg
-from .endos import Endo
-from .groups import CYCLIC, GroupSpec, Element, GroupError
+from .endos import Endo, multiplication_endo
+from .groups import CYCLIC, GroupSpec, Element, GroupError, cyclic_group
 from .rationals import (
     NEG_INF,
     ExtValue,
@@ -26,12 +28,14 @@ from .rationals import (
 from .report import EXHAUSTIVE, SAMPLED, Report
 from .sets import (
     GroundSet,
+    _TableMemo,
     _convexity_report,
     _element,
     _pair_witness,
     _sampled_convexity,
     combo_table,
     finite_set,
+    whole_group_set,
 )
 
 QUASICONVEX = "quasiconvex"
@@ -41,6 +45,9 @@ WRIGHT_AFFINE = "wright_affine"
 TT_AFFINE = "tt_affine"
 
 KINDS = (QUASICONVEX, WRIGHT, TTCONVEX, WRIGHT_AFFINE, TT_AFFINE)
+
+# member codes held by the catalogue memo, summed over its catalogues
+CATALOGUE_MEMO_ENTRIES = 1 << 16
 
 
 class FnError(ValueError):
@@ -312,6 +319,73 @@ def check_inequality(
 
 def _ineq_witness(x, y, z, sides):
     return {**_pair_witness(x, y, z), "lhs": format_ext(sides[0]), "rhs": format_ext(sides[1])}
+
+
+# -- member catalogues on Z_m ----------------------------------------------
+
+
+def _scalar_pair(kind: str, m: int, a: int, t):
+    """t as a Fraction and the combination table of multiplication by a on
+    the whole of Z_m, once the kind and the pair are valid."""
+    if kind not in KINDS:
+        raise FnError(f"unknown inequality kind {kind!r}")
+    g = cyclic_group(m)
+    pair = ConvexPair(multiplication_endo(g, a), t)
+    return pair.t, combo_table(whole_group_set(g), pair.endo)
+
+
+def is_vacuous(kind: str, m: int, a: int, t) -> bool:
+    """Whether every table on Z_m satisfies the inequality under the pair
+    (multiplication by a, t).
+
+    At each (x, y) the comparison is linear in the values with coefficients
+    summing to zero (quasiconvex: it binds unless z is x or y), so a pair
+    that binds somewhere fails a unit table; every table passes exactly when
+    the m unit tables do."""
+    t, rows = _scalar_pair(kind, m, a, t)
+    return all(_first_violation(kind, t, [int(i == j) for i in range(m)], rows) is None
+               for j in range(m))
+
+
+def member_catalogue(kind: str, m: int, a: int, t) -> array:
+    """Every table in {0..3}^m on the whole of Z_m that satisfies the
+    inequality under the pair (multiplication by a, t), as base-4 codes
+    (digit i is the value at i).  Memoised up to CATALOGUE_MEMO_ENTRIES
+    codes; the array is shared and must not be changed.
+
+    Backtracking over the indices of D: once index k is assigned, the
+    kernel's comparison runs on the pairs whose points x, y, z (and for the
+    Wright kinds the mirror (I-T)x + Ty) lie at or below k, with k among
+    them.  (x, y) and (y, x) share their points, so the mirror lookup stays
+    inside the level."""
+    key = (kind, m, a, Fraction(t))
+    members = _CATALOGUES.tables.get(key)
+    if members is not None:
+        return members
+    t, rows = _scalar_pair(kind, m, a, t)
+    mirror = kind in (WRIGHT, WRIGHT_AFFINE)
+    levels = [[[None] * (k + 1) for _ in range(k + 1)] for k in range(m)]
+    for ix, row in enumerate(rows):
+        for iy, iz in enumerate(row):
+            levels[max(ix, iy, iz, rows[iy][ix] if mirror else 0)][ix][iy] = iz
+    members, values = array("Q"), []
+
+    def extend(k, code):
+        for v in range(4):
+            values.append(v)
+            if _first_violation(kind, t, values, levels[k]) is None:
+                if k + 1 == m:
+                    members.append(code + (v << 2 * k))
+                else:
+                    extend(k + 1, code + (v << 2 * k))
+            values.pop()
+
+    extend(0, 0)
+    _CATALOGUES.store(key, members)
+    return members
+
+
+_CATALOGUES = _TableMemo(lambda: CATALOGUE_MEMO_ENTRIES, len)
 
 
 # -- level sets and characteristic functions -------------------------------

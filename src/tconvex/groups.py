@@ -204,9 +204,6 @@ class GroupSpec:
                 total += w * (0 if c == 0 else 1)
         return total
 
-    def dist(self, x: "Element", y: "Element") -> Fraction:
-        return self.dnorm(self.sub(x, y))
-
 
 @dataclass(frozen=True)
 class Element:

@@ -138,19 +138,22 @@ def combo_table(d: GroundSet, t: Endo) -> tuple:
 
 
 class _TableMemo:
-    """Tables by key, oldest first, holding at most COMBO_MEMO_ENTRIES pair
-    entries in total; a larger table is not stored, an older one is evicted."""
+    """Tables by key, oldest first, holding at most limit() entries in total,
+    where a table holds size(table) of them; a larger table is not stored,
+    an older one is evicted.  The defaults count the pair entries of
+    combination tables against COMBO_MEMO_ENTRIES."""
 
-    def __init__(self):
+    def __init__(self, limit=lambda: COMBO_MEMO_ENTRIES, size=lambda rows: len(rows) ** 2):
         self.tables = {}
         self.entries = 0
+        self.limit, self.size = limit, size
 
     def store(self, key, rows):
-        size = len(rows) ** 2
-        if size > COMBO_MEMO_ENTRIES:
+        size, limit = self.size(rows), self.limit()
+        if size > limit:
             return
-        while self.entries + size > COMBO_MEMO_ENTRIES:
-            self.entries -= len(self.tables.pop(next(iter(self.tables)))) ** 2
+        while self.entries + size > limit:
+            self.entries -= self.size(self.tables.pop(next(iter(self.tables))))
         self.tables[key] = rows
         self.entries += size
 

@@ -12,11 +12,14 @@ suite replays the same way, at the cost of one suite run.
 Every inequality a suite checks goes through the public checker
 (``check_inequality`` and ``convexity_interval``).  The closure and
 composition suites draw their tables on whole rank-1 cyclic carriers,
-where ``sets.combo_table``'s memo makes the repeated small checks cheap.
+where ``sets.combo_table``'s memo makes the repeated small checks cheap;
+the closure suites take their member tables from the exact catalogues of
+``functions.member_catalogue``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -61,7 +64,9 @@ from .functions import (
     convexity_interval,
     diamond_conv,
     inf_conv,
+    is_vacuous,
     level_set,
+    member_catalogue,
     neg_char_fn,
     qconv_envelope,
     table_fn,
@@ -558,37 +563,38 @@ suite_compose_convex = _composite_suite(TTCONVEX, "compose-c")
 suite_compose_affine = _composite_suite(TT_AFFINE, "compose-a")
 
 
-def _scalar_family(rng, d, kind, count, tries=60):
-    """One scalar pair plus several value tables passing under it."""
-    g, m = d.group, len(d.elements)
-    for _ in range(12):
-        a = rng.randrange(m)
-        if kind in (TTCONVEX, TT_AFFINE):
-            t = gen_t(rng, 6)
-        else:
-            t = Fraction(1, 2)
-        pair = ConvexPair(multiplication_endo(g, a), t)
-        fams = []
-        for _ in range(tries):
-            vals = _random_vals(rng, m)
-            if _holds(kind, d, vals, pair):
-                fams.append(vals)
-            if len(fams) == count:
-                return pair, fams
-        if len(fams) >= 2:
-            return pair, fams
-    # constants pass every kind under every pair
-    pair = ConvexPair(multiplication_endo(g, rng.randrange(m)), gen_t(rng, 6))
-    return pair, [[k] * m for k in range(count)]
+# every t that gen_t(rng, 6) can draw
+_T_GRID = sorted({Fraction(p, q) for q in range(1, 7) for p in range(q + 1)})
+
+
+@functools.cache
+def _informative_keys(kind):
+    """The (m, a, t) with m in 3..8 whose pair (multiplication by a, t) on
+    Z_m binds some table and admits a non-constant one; t runs over _T_GRID
+    for the TT kinds and is 1/2 otherwise.  Every constant passes every
+    kind, so a catalogue with more than the four constants holds a
+    non-constant table."""
+    ts = _T_GRID if kind in (TTCONVEX, TT_AFFINE) else (Fraction(1, 2),)
+    return tuple((m, a, t) for m in range(3, 9) for a in range(m) for t in ts
+                 if not is_vacuous(kind, m, a, t) and len(member_catalogue(kind, m, a, t)) > 4)
+
+
+def _scalar_family(rng, kind, count):
+    """The whole of Z_m, a scalar pair under which some table is not
+    constant, and `count` value tables drawn uniformly with replacement from
+    the pair's catalogue: the distribution of a successful rejection draw."""
+    m, a, t = rng.choice(_informative_keys(kind))
+    members = member_catalogue(kind, m, a, t)
+    fams = [[(code >> 2 * i) & 3 for i in range(m)]
+            for code in (rng.choice(members) for _ in range(count))]
+    g = cyclic_group(m)
+    return whole_group_set(g), ConvexPair(multiplication_endo(g, a), t), fams
 
 
 def _pointwise_suite(kind, tag, with_sum_scale, with_sup):
     def run(rng, caps, camp: Campaign):
         for i in range(caps["cases"]):
-            m = rng.randint(3, 8)
-            g = cyclic_group(m)
-            d = whole_group_set(g)
-            pair, fams = _scalar_family(rng, d, kind, 3)
+            d, pair, fams = _scalar_family(rng, kind, 3)
             if with_sup:
                 sup = [max(col) for col in zip(*fams)]
                 camp.add(f"{tag}/sup/{i}", _holds(kind, d, sup, pair))
@@ -620,16 +626,12 @@ def suite_closure_quasi(rng, caps, camp: Campaign):
         rng, caps, camp
     )
     for i in range(max(5, caps["cases"] // 4)):
-        m = rng.randint(3, 8)
-        g = cyclic_group(m)
-        d = whole_group_set(g)
-        pair, fams = _scalar_family(rng, d, QUASICONVEX, 2)
-        if len(fams) < 2:
-            continue
+        d, pair, fams = _scalar_family(rng, QUASICONVEX, 2)
         f1, f2 = table_fn(d, fams[0]), table_fn(d, fams[1])
         conv = diamond_conv(f1, f2)
         camp.add(f"quasi/diamond/{i}", check_inequality(QUASICONVEX, conv, pair).verdict)
-        amap = multiplication_endo(g, rng.randrange(m))  # commutes with pair
+        g = d.group
+        amap = multiplication_endo(g, rng.randrange(g.order))  # commutes with pair
         pushed = transport(f1, amap, "pushforward")
         camp.add(f"quasi/transport/{i}",
                  check_inequality(QUASICONVEX, pushed, pair).verdict)
@@ -640,12 +642,7 @@ def suite_closure_convex(rng, caps, camp: Campaign):
         rng, caps, camp
     )
     for i in range(max(5, caps["cases"] // 4)):
-        m = rng.randint(3, 8)
-        g = cyclic_group(m)
-        d = whole_group_set(g)
-        pair, fams = _scalar_family(rng, d, TTCONVEX, 2)
-        if len(fams) < 2:
-            continue
+        d, pair, fams = _scalar_family(rng, TTCONVEX, 2)
         f1, f2 = table_fn(d, fams[0]), table_fn(d, fams[1])
         camp.add(f"convex/infconv/{i}",
                  check_inequality(TTCONVEX, inf_conv(f1, f2), pair).verdict)
@@ -653,10 +650,7 @@ def suite_closure_convex(rng, caps, camp: Campaign):
 
 def suite_closure_affine(rng, caps, camp: Campaign):
     for i in range(caps["cases"]):
-        m = rng.randint(3, 8)
-        g = cyclic_group(m)
-        d = whole_group_set(g)
-        pair, fams = _scalar_family(rng, d, TT_AFFINE, 3)
+        d, pair, fams = _scalar_family(rng, TT_AFFINE, 3)
         camp.add(f"affine/limit/{i}", _holds(TT_AFFINE, d, fams[-1], pair))
         combo = [Fraction(2) * v + Fraction(5, 2) for v in fams[0]]
         camp.add(f"affine/combo/{i}", _holds(TT_AFFINE, d, combo, pair))
@@ -851,6 +845,10 @@ REGISTRY = {
 
 def run_suite(config: SuiteConfig) -> CampaignReport:
     caps = with_defaults(config.caps)
+    for cap in ("cases", "probes"):
+        value = caps[cap]
+        if type(value) is not int or value < 1:  # bool is not a count
+            raise SuiteError(f"the {cap!r} cap must be a positive integer, not {value!r}")
     start = time.monotonic()
     if config.suite == "all":
         camp = Campaign("all", config.seed, caps)

@@ -256,6 +256,7 @@ def test_unexpected_errors_exit_four(monkeypatch, capsys):
 
 
 REQUIRED = {
+    "check": ["--kind", "quasiconvex", "--fn", "-", "--endo", "-"],
     "derive": ["--rule", "kuhn", "--input", "-"],
     "envelope": ["--fn", "-", "--endos", "-"],
     "semigroup": ["--input", "-"],
@@ -267,7 +268,8 @@ REQUIRED = {
 UNREAD_FLAGS = [(cmd, flag) for cmd in ("derive", "envelope", "decompose", "support",
                                         "spectral")
                 for flag in (["--seed", "1"], ["--budget", "5"], ["--exhaustive"])]
-UNREAD_FLAGS += [("semigroup", ["--seed", "1"]), ("suite", ["--exhaustive"])]
+UNREAD_FLAGS += [("semigroup", ["--seed", "1"]), ("suite", ["--exhaustive"]),
+                 ("check", ["--exhaustive"])]
 
 
 @pytest.mark.parametrize("command, flag", UNREAD_FLAGS,
@@ -277,3 +279,12 @@ def test_flags_a_subcommand_does_not_read_exit_two(command, flag, capsys):
 
     assert cli.cli_dispatch([command, *REQUIRED[command], *flag]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--cases", "-5"], ["--cases", "0"], ["--budget", "0"],
+                                  ["--budget", "-3"]], ids=" ".join)
+def test_suite_non_positive_caps_exit_two(flag, capsys):
+    from tconvex import cli
+
+    assert cli.cli_dispatch(["suite", "--id", "ring-laws", *flag]) == 2
+    assert "positive integer" in capsys.readouterr().err

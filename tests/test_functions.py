@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,9 @@ from tconvex import (
     transport,
     whole_group_set,
 )
+from tconvex import functions
+from tconvex.functions import is_vacuous, member_catalogue
+from tconvex.sets import _TableMemo
 
 G5 = cyclic_group(5)
 HAT = table_fn(whole_group_set(G5), [Fraction(v) for v in (0, 1, 2, 1, 0)])
@@ -168,3 +172,79 @@ def test_fn_serialization_round_trip():
     qb = deserialize_fn(g, serialize_fn(q))
     x = g.reduce([Fraction(3, 4)])
     assert qb(x) == q(x)
+
+
+# -- member catalogues -------------------------------------------------------
+
+T_GRID = sorted({Fraction(p, q) for q in range(1, 7) for p in range(q + 1)})
+
+
+def _kind_ts(kind):
+    return T_GRID if kind in (TTCONVEX, TT_AFFINE) else [Fraction(1, 2)]
+
+
+def _code(vals):
+    return sum(v << 2 * i for i, v in enumerate(vals))
+
+
+def test_catalogue_is_exactly_the_passing_tables_on_small_carriers():
+    for m in (3, 4):
+        g = cyclic_group(m)
+        d = whole_group_set(g)
+        tables = list(itertools.product(range(4), repeat=m))
+        for kind in (QUASICONVEX, WRIGHT, TTCONVEX, TT_AFFINE):
+            for a in range(m):
+                for t in _kind_ts(kind):
+                    pair = ConvexPair(multiplication_endo(g, a), t)
+                    want = [_code(vals) for vals in tables
+                            if check_inequality(kind, table_fn(d, vals), pair).verdict]
+                    got = member_catalogue(kind, m, a, t)
+                    assert sorted(got) == sorted(want), (kind, m, a, t)
+                    # vacuous exactly when every table passes
+                    assert is_vacuous(kind, m, a, t) == (len(want) == 4 ** m)
+
+
+def test_pairs_recognised_as_vacuous_pass_every_table():
+    seen = set()
+    for m in (3, 4, 5):
+        g = cyclic_group(m)
+        d = whole_group_set(g)
+        for kind in (QUASICONVEX, WRIGHT, TTCONVEX, TT_AFFINE):
+            for a in range(m):
+                for t in _kind_ts(kind):
+                    if not is_vacuous(kind, m, a, t):
+                        continue
+                    seen.add((kind, a, t))
+                    pair = ConvexPair(multiplication_endo(g, a), t)
+                    for vals in itertools.product(range(4), repeat=m):
+                        assert check_inequality(kind, table_fn(d, vals), pair).verdict
+    # multiplication by 0 puts z at y and by 1 at x: that binds nothing for
+    # quasiconvex and Wright, and for the TT kinds only at t = 0 and t = 1
+    half = Fraction(1, 2)
+    assert seen == {(QUASICONVEX, 0, half), (QUASICONVEX, 1, half), (WRIGHT, 0, half),
+                    (WRIGHT, 1, half), (TTCONVEX, 0, 0), (TTCONVEX, 1, 1),
+                    (TT_AFFINE, 0, 0), (TT_AFFINE, 1, 1)}
+
+
+def test_catalogue_memo_holds_at_most_its_budget(monkeypatch):
+    monkeypatch.setattr(functions, "_CATALOGUES",
+                        _TableMemo(lambda: functions.CATALOGUE_MEMO_ENTRIES, len))
+    monkeypatch.setattr(functions, "CATALOGUE_MEMO_ENTRIES", 300)
+    memo = functions._CATALOGUES
+    built = []
+    for m in (4, 5, 6):
+        for a in range(m):
+            built.append(member_catalogue(QUASICONVEX, m, a, Fraction(1, 2)))
+            assert sum(map(len, memo.tables.values())) == memo.entries <= 300
+    assert max(map(len, built)) > 300  # returned but not stored
+    held = list(memo.tables.values())
+    assert 1 < len(held) < len(built)
+    assert [id(c) for c in held] == [id(c) for c in built if len(c) <= 300][-len(held):]
+    assert member_catalogue(QUASICONVEX, 6, 5, Fraction(1, 2)) is built[-1] is held[-1]
+
+
+def test_catalogue_rejects_unknown_kinds_and_t_outside_the_unit_interval():
+    with pytest.raises(FnError):
+        member_catalogue("convexish", 4, 1, Fraction(1, 2))
+    with pytest.raises(FnError):
+        member_catalogue(TTCONVEX, 4, 1, Fraction(3, 2))

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,9 @@ from tconvex import (
     whole_group_set,
 )
 from tconvex import suites
+from tconvex.functions import (
+    QUASICONVEX, TTCONVEX, TT_AFFINE, WRIGHT, is_vacuous, member_catalogue,
+)
 from tconvex.generators import with_defaults
 from tconvex.report import EXHAUSTIVE, Report
 from tconvex.suites import REGISTRY, brute_envelope
@@ -50,8 +54,9 @@ def test_empty_suite_trivially_passes():
 
 def test_reports_are_deterministic_for_fixed_seed_and_caps():
     # the second run of each suite reads its pair tables from a warm memo
+    # and the closure suites' member catalogues from a warm one
     for sid in ("prop-ls", "closure-wright", "twa-roundtrip", "compose-convex",
-                "closure-affine", "midpoint-convexity"):
+                "closure-affine", "midpoint-convexity", "closure-convex", "closure-quasi"):
         a = run_suite(SuiteConfig(sid, seed=11, caps=SMALL))
         b = run_suite(SuiteConfig(sid, seed=11, caps=SMALL))
         assert _stripped(a) == _stripped(b)
@@ -133,6 +138,32 @@ def test_aggregate_alarms_replay_their_sub_suite(monkeypatch):
     assert replay_alarm(_round_trip(alarm)) == {**entry, "id": case["id"]}
 
 
+@pytest.mark.parametrize("caps", [{"cases": 0}, {"cases": -5}, {"probes": 0},
+                                  {"probes": -3}, {"cases": True}, {"cases": 2.0}])
+def test_caps_that_are_not_positive_integers_raise(caps):
+    with pytest.raises(SuiteError, match="positive integer"):
+        run_suite(SuiteConfig("ring-laws", seed=0, caps=caps))
+
+
+def test_closure_keys_have_non_constant_members_at_endpoint_t_only():
+    """The TT kinds admit a non-constant table in {0..3}^m on Z_m, m <= 8,
+    only at t in {0, 1}: at every interior t of the grid the catalogue
+    holds just the four constants."""
+    for kind in (TTCONVEX, TT_AFFINE):
+        for m in range(3, 9):
+            for a in range(m):
+                for t in suites._T_GRID[1:-1]:
+                    assert len(member_catalogue(kind, m, a, t)) == 4, (kind, m, a, t)
+        keys = suites._informative_keys(kind)
+        assert len(keys) == 14
+        assert {t for _, _, t in keys} == {0, 1}
+        assert {m for m, _, _ in keys} == {4, 6, 8}
+    for kind, count in ((QUASICONVEX, 21), (WRIGHT, 12)):
+        keys = suites._informative_keys(kind)
+        assert len(keys) == count and {t for _, _, t in keys} == {Fraction(1, 2)}
+        assert not any(is_vacuous(kind, m, a, t) for m, a, t in keys)
+
+
 def test_replay_of_an_unknown_suite_or_case_raises():
     caps = with_defaults(None)
     with pytest.raises(SuiteError):
@@ -157,8 +188,6 @@ def test_brute_envelope_is_a_quasiconvex_minorant():
     ts = [multiplication_endo(g, 3)]
     oracle = brute_envelope(f, ts)
     assert all(o <= v for o, v in zip(oracle.values, f.values))
-    from fractions import Fraction
-
     assert check_inequality(
         "quasiconvex", oracle, ConvexPair(ts[0], Fraction(1, 2))
     ).verdict
