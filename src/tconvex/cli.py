@@ -8,6 +8,7 @@ is ``-``) and writes JSON to standard output.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -220,8 +221,7 @@ def cmd_spectral(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    caps = {"cases": args.budget} if args.budget else None
-    _emit(generate_instance(args.kind, args.seed, caps))
+    _emit(generate_instance(args.kind, args.seed))
     return 0
 
 
@@ -266,45 +266,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=1000, help="probe budget")
-    p.set_defaults(fn_impl=cmd_check)
 
     p = sub.add_parser("derive", help="derive new convexity pairs")
     p.add_argument("--rule", required=True,
                    choices=["compose", "wright-ratio", "right-inverse", "last", "kuhn"])
     p.add_argument("--input", required=True)
-    p.set_defaults(fn_impl=cmd_derive)
 
     p = sub.add_parser("envelope", help="quasiconvex envelope of a table")
     p.add_argument("--fn", required=True)
     p.add_argument("--endos", required=True)
-    p.set_defaults(fn_impl=cmd_envelope)
 
     p = sub.add_parser("semigroup", help="enumerate convexity endomorphisms")
     p.add_argument("--input", required=True)
     p.add_argument("--budget", type=int, default=1000, help="saturation budget")
     p.add_argument("--exhaustive", action="store_true")
-    p.set_defaults(fn_impl=cmd_semigroup)
 
     p = sub.add_parser("decompose", help="split a table into quadratic/"
                                          "additive parts")
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=["wright", "affine"], default="wright")
-    p.set_defaults(fn_impl=cmd_decompose)
 
     p = sub.add_parser("support", help="affine support certificate at a point")
     p.add_argument("--input", required=True)
-    p.set_defaults(fn_impl=cmd_support)
 
     p = sub.add_parser("spectral", help="operator norm and spectral bound")
     p.add_argument("--input", required=True)
-    p.set_defaults(fn_impl=cmd_spectral)
 
     p = sub.add_parser("generate", help="seeded random instance")
     p.add_argument("--kind", required=True,
                    choices=["group", "endo", "set", "fn", "pair"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=0)
-    p.set_defaults(fn_impl=cmd_generate)
 
     p = sub.add_parser("suite", help="run a property campaign")
     p.add_argument("--id", required=True)
@@ -312,19 +303,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None, help="probe budget")
-    p.set_defaults(fn_impl=cmd_suite)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Built once per process: building costs more than parsing a request."""
+    return build_parser()
+
+
 def cli_dispatch(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.fn_impl(args)
+        # looked up per call, so a patched or wrapped handler is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else IO_ERROR
     except (KeyError, TypeError) as exc:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .endos import (
@@ -26,8 +27,10 @@ from .endos import (
     try_inverse,
     validate_endo,
 )
-from .functions import TT_AFFINE, ConvexPair, TableFn, _first_violation, check_inequality
-from .groups import LATTICE, NADIC, GroupError, Element, divisible_by, mu_d
+from .functions import (
+    TT_AFFINE, ConvexPair, TableFn, _first_violation, _scaled, check_inequality,
+)
+from .groups import CYCLIC, LATTICE, NADIC, GroupError, Element, divisible_by, mu_d
 from .rationals import ext_add, ext_le, format_rational
 from .sets import combo_table
 from .report import ASSUMED, CERTIFIED_BOUND, EXHAUSTIVE, FAILED, VERIFIED, Report
@@ -35,6 +38,10 @@ from .report import ASSUMED, CERTIFIED_BOUND, EXHAUSTIVE, FAILED, VERIFIED, Repo
 
 class DeriveError(ValueError):
     pass
+
+
+def _dot(u, v):
+    return sum(map(mul, u, v))
 
 
 @dataclass
@@ -257,11 +264,7 @@ class WrightDecomposition:
     audit: list = field(default_factory=list)
 
     def b_value(self, x: Element, y: Element) -> Fraction:
-        vx = tuple(Fraction(c) for c in x.coords)
-        vy = tuple(Fraction(c) for c in y.coords)
-        return sum(
-            (a * b for a, b in zip(vx, linalg.mat_vec(self.b_matrix, vy))), Fraction(0)
-        )
+        return _dot(x.coords, linalg.mat_vec(self.b_matrix, y.coords))
 
     def reconstruct(self, x: Element) -> Fraction:
         return self.b_value(x, x) + self.a_table[x.coords] + self.c
@@ -269,7 +272,11 @@ class WrightDecomposition:
 
 def twa_decompose(a: TableFn, ts=()) -> WrightDecomposition:
     """Finite-difference decomposition of a Wright-affine table:
-    c = a(0), B(x,y) = (a(x+y)-a(x)-a(y)+a(0))/2, A = a - B(.,.) - c."""
+    c = a(0), B(x,y) = (a(x+y)-a(x)-a(y)+a(0))/2, A = a - B(.,.) - c.
+
+    The probes run on integers: with D the common denominator of the
+    values and K that of the coordinates, 2*D*K^2 times B and A are
+    integers.  Fractions are built only for what is returned."""
     if not a.is_finite_valued():
         raise DeriveError("decomposition needs finite values")
     g = a.group
@@ -278,65 +285,52 @@ def twa_decompose(a: TableFn, ts=()) -> WrightDecomposition:
     if zero not in dom:
         raise DeriveError("domain must contain the group zero")
     c = a(zero)
+    den, vals = _scaled(a.values)
+    r, elems = g.rank, dom.elements
+    kd, flat = _scaled([u for x in elems for u in x.coords])
+    k2, pts = kd * kd, [flat[i:i + r] for i in range(0, len(flat), r)]
+    mods = g.moduli if g.family == CYCLIC else (None,) * r
+    get = dom.index.get
 
-    def raw_b(x, y):
-        z = g.add(x, y)
-        if z not in dom:
-            return None
-        return (a(z) - a(x) - a(y) + c) / 2
+    def at(i, j):  # the index of elems[i] + elems[j] in the domain, or None
+        return get(tuple((u + v) % m if m else u + v
+                         for u, v, m in zip(elems[i].coords, elems[j].coords, mods)))
 
-    gens = g.generators()
-    rank = g.rank
-    m = [[None] * rank for _ in range(rank)]
-    for i in range(rank):
-        for j in range(rank):
-            val = raw_b(gens[i], gens[j])
-            if val is None:
-                raise DeriveError("domain too small for generator probes")
-            m[i][j] = val
-    m = tuple(tuple(row) for row in m)
-    dec = WrightDecomposition(m, {}, c, ok=True)
+    v0, gi = vals[get(zero.coords)], [get(x.coords) for x in g.generators()]
+    if None in gi or None in (at(i, j) for i in gi for j in gi):
+        raise DeriveError("domain too small for generator probes")
+    cols = list(zip(*[[vals[at(i, j)] - vals[i] - vals[j] + v0 for j in gi] for i in gi]))
+    dec = WrightDecomposition(tuple(tuple(Fraction(e, 2 * den) for e in col) for col in cols),
+                              {}, c, ok=True)  # B's matrix is symmetric: rows = columns
+
+    def residual(probe, i, j, **forms):
+        dec.ok = False
+        dec.residual = {"probe": probe, "x": list(map(str, elems[i].coords)),
+                        "y": list(map(str, elems[j].coords)), **forms}
+        return dec
+
     # biadditivity probe: the finite-difference B must agree with the
-    # bilinear extension everywhere it is defined
-    for x in dom.elements:
-        for y in dom.elements:
-            val = raw_b(x, y)
-            if val is None:
-                continue
-            bil = dec.b_value(x, y)
-            if val != bil:
-                dec.ok = False
-                dec.residual = {
-                    "probe": "biadditivity",
-                    "x": list(map(str, x.coords)),
-                    "y": list(map(str, y.coords)),
-                    "difference_form": format_rational(val),
-                    "bilinear_form": format_rational(bil),
-                }
-                return dec
-    for x in dom.elements:
-        dec.a_table[x.coords] = a(x) - dec.b_value(x, x) - c
-    for x in dom.elements:
-        for y in dom.elements:
-            z = g.add(x, y)
-            if z not in dom:
-                continue
-            if dec.a_table[z.coords] != dec.a_table[x.coords] + dec.a_table[y.coords]:
-                dec.ok = False
-                dec.residual = {
-                    "probe": "additivity",
-                    "x": list(map(str, x.coords)),
-                    "y": list(map(str, y.coords)),
-                }
-                return dec
+    # bilinear extension everywhere it is defined; both sides times 2*D*K^2
+    sums = [(i, j, k) for i in range(len(elems)) for j in range(len(elems))
+            if (k := at(i, j)) is not None]
+    xm = [[_dot(x, col) for col in cols] for x in pts]
+    for i, j, k in sums:
+        diff, bil = vals[k] - vals[i] - vals[j] + v0, _dot(xm[i], pts[j])
+        if diff * k2 != bil:
+            return residual("biadditivity", i, j,
+                            difference_form=format_rational(Fraction(diff, 2 * den)),
+                            bilinear_form=format_rational(Fraction(bil, 2 * den * k2)))
+    a2 = [2 * k2 * (v - v0) - _dot(xm[i], pts[i]) for i, v in enumerate(vals)]
+    dec.a_table = {x.coords: Fraction(v, 2 * den * k2) for x, v in zip(elems, a2)}
+    for i, j, k in sums:
+        if a2[k] != a2[i] + a2[j]:
+            return residual("additivity", i, j)
     for idx, t in enumerate(ts):
         it = complement(t)
-        status = VERIFIED
-        for u in dom.elements:
-            if dec.b_value(t.apply(u), it.apply(u)) != 0:
-                status = FAILED
-                break
-        dec.audit.append((f"B(Tu,(I-T)u) = 0 for endo #{idx}", status))
+        vanishes = all(_dot([_dot(t.apply(u).coords, col) for col in cols],
+                            it.apply(u).coords) == 0 for u in elems)
+        dec.audit.append((f"B(Tu,(I-T)u) = 0 for endo #{idx}",
+                          VERIFIED if vanishes else FAILED))
     return dec
 
 
@@ -578,9 +572,7 @@ class SupportCertificate:
     audit: list = field(default_factory=list)
 
     def value(self, x: Element) -> Fraction:
-        return sum(
-            (w * Fraction(cc) for w, cc in zip(self.a, x.coords)), Fraction(0)
-        ) + self.c
+        return _dot(self.a, x.coords) + self.c
 
     def to_json(self) -> dict:
         return {
@@ -640,14 +632,23 @@ def rode_support(f: TableFn, pairs, p: Element):
     if particular is None:
         return Infeasible((tuple(), Fraction(-1)), note="equalities inconsistent")
     basis = linalg.nullspace(eq_rows)
-    constraints = []
-    for x in f.domain.elements:
-        vec = [Fraction(c) for c in x.coords] + [Fraction(1)]
-        base = sum((a * b for a, b in zip(vec, particular)), Fraction(0))
-        coeffs = tuple(
-            sum((a * b for a, b in zip(vec, bv)), Fraction(0)) for bv in basis
-        )
-        constraints.append((coeffs, f(x) - base))
+    # The row of window point x, (x, 1).(particular + sum_k w_k basis_k) <=
+    # f(x), times k = D*E: D clears coordinates and values, E the solution
+    # and basis.  fm_feasible makes each nonzero row primitive, so its run
+    # and point stay the same and its weights on those rows shrink by k; it
+    # keeps zero rows (x = p among them) as given, so they go in divided by k.
+    elems = f.domain.elements
+    den, flat = _scaled([u for x in elems for u in x.coords] + list(f.values))
+    pts = [(*flat[i * r:(i + 1) * r], den) for i in range(len(elems))]
+    vals = flat[len(elems) * r:]
+    e, flat = _scaled([*particular, *(u for bv in basis for u in bv)])
+    part, basis_k = flat[:nv], [flat[i:i + nv] for i in range(nv, len(flat), nv)]
+    k = den * e
+    constraints, scale = [], []
+    for x, fx in zip(pts, vals):
+        coeffs, rhs = tuple(_dot(x, bv) for bv in basis_k), e * fx - _dot(x, part)
+        scale.append(k if any(coeffs) else 1)
+        constraints.append((coeffs, rhs if any(coeffs) else Fraction(rhs, k)))
     status, payload = linalg.fm_feasible(constraints, len(basis))
     if status == "infeasible":
         y = payload
@@ -658,7 +659,7 @@ def rode_support(f: TableFn, pairs, p: Element):
         yb = sum((w * rhs for w, (_, rhs) in zip(y, constraints)), Fraction(0))
         if len(y) != len(constraints) or min(y, default=0) < 0 or any(ya) or yb >= 0:
             raise DeriveError("Farkas certificate failed re-verification")
-        return Infeasible((ya, yb), farkas=dict(zip(f.domain.elements, y)))
+        return Infeasible((ya, yb), farkas={x: w * s for x, w, s in zip(elems, y, scale)})
     w = payload
     v = list(particular)
     for wi, bv in zip(w, basis):
@@ -674,8 +675,11 @@ def rode_support(f: TableFn, pairs, p: Element):
         )
         rhs = tuple(q.t * cert.a[jj] for jj in range(r))
         checks.append((f"homogeneity for pair #{i}", VERIFIED if lhs == rhs else FAILED))
-    checks.append(("touching at p", VERIFIED if cert.value(p) == f(p) else FAILED))
-    below = all(ext_le(cert.value(x), f(x)) for x in f.domain.elements)
+    vd, vs = _scaled(v)  # (x, 1).v <= f(x) as (D*x, D).(vd*v) <= vd*D*f(x)
+    ip = f.domain.index[p.coords]
+    checks.append(("touching at p",
+                   VERIFIED if _dot(pts[ip], vs) == vd * vals[ip] else FAILED))
+    below = all(_dot(x, vs) <= vd * fx for x, fx in zip(pts, vals))
     checks.append(("support inequality on domain", VERIFIED if below else FAILED))
     cert.audit = checks
     if any(status == FAILED for _, status in checks):

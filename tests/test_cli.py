@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tconvex import (
     cyclic_group,
@@ -264,12 +269,13 @@ REQUIRED = {
     "support": ["--input", "-"],
     "spectral": ["--input", "-"],
     "suite": ["--id", "empty"],
+    "generate": ["--kind", "group"],
 }
 UNREAD_FLAGS = [(cmd, flag) for cmd in ("derive", "envelope", "decompose", "support",
                                         "spectral")
                 for flag in (["--seed", "1"], ["--budget", "5"], ["--exhaustive"])]
 UNREAD_FLAGS += [("semigroup", ["--seed", "1"]), ("suite", ["--exhaustive"]),
-                 ("check", ["--exhaustive"])]
+                 ("check", ["--exhaustive"]), ("generate", ["--budget", "5"])]
 
 
 @pytest.mark.parametrize("command, flag", UNREAD_FLAGS,
@@ -288,3 +294,138 @@ def test_suite_non_positive_caps_exit_two(flag, capsys):
 
     assert cli.cli_dispatch(["suite", "--id", "ring-laws", *flag]) == 2
     assert "positive integer" in capsys.readouterr().err
+
+
+def dispatch(argv, stdin=""):
+    """cli_dispatch in this process: (exit code, stdout, stderr)."""
+    from tconvex import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.cli_dispatch(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+# pinned stdout of support and decompose requests: certificates, Farkas
+# weights and Wright decompositions must print the same bytes
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN = {c["name"]: c for c in json.loads((DATA / "cli_golden.json").read_text())}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_outputs_are_byte_identical(name):
+    case = GOLDEN[name]
+    code, out, err = dispatch(case["argv"], json.dumps(case["doc"]))
+    assert (code, out) == (case["exit"], case["stdout"]), err
+
+
+def test_parser_is_built_once_and_leaks_no_state(monkeypatch):
+    from tconvex import cli
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        support = GOLDEN["support-infeasible-pairs"]
+        first = dispatch(support["argv"], json.dumps(support["doc"]))
+        assert first[0] == 1
+
+        def broken(args):
+            raise RuntimeError("boom")
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "cmd_spectral", broken)
+            assert dispatch(["spectral", "--input", "-"])[0] == 4
+        assert dispatch(["check", "--kind", "bogus", "--fn", "-", "--endo", "-"])[0] == 2
+        assert dispatch(["support", "--input", "-", "--seed", "1"])[0] == 2
+        code, out, _ = dispatch(["--help"])
+        assert code == 0 and out.startswith("usage: tconvex")
+        assert dispatch(support["argv"], json.dumps(support["doc"])) == first
+        for _ in range(14):
+            assert dispatch(["generate", "--kind", "group", "--seed", "2"])[0] == 0
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
+# -- in-process fuzzing ----------------------------------------------------
+
+_Z3 = {"family": "cyclic", "moduli": [3], "metric": {"kind": "lee", "weights": ["1"]}}
+_Q2 = {"family": "nadic", "base": 2, "rank": 1,
+       "metric": {"kind": "abs", "weights": ["1"]}}
+_HALF = {"endo": {"matrix": [["1/2"]]}, "t": "1/2"}
+_Z3_SET = {"kind": "finite", "elements": [["0"], ["1"], ["2"]]}
+_Z3_FN = {"group": _Z3, "fn": {"kind": "table", "domain": _Z3_SET, "values": ["0", "1", "0"]}}
+SEEDS = [
+    (["check", "--kind", "quasiconvex", "--fn", "-", "--endo", str(DATA / "z3_endo.json")],
+     _Z3_FN),
+    (["envelope", "--fn", "-", "--endos", str(DATA / "z3_endos.json")], _Z3_FN),
+    (["derive", "--rule", "kuhn", "--input", "-"], {"group": _Q2, **_HALF, "n": 2}),
+    (["derive", "--rule", "wright-ratio", "--input", "-"],
+     {"group": _Q2, **_HALF, "n": 1, "k": 1}),
+    (["derive", "--rule", "last", "--input", "-"], {"group": _Q2, "pairs": [_HALF], "k": 1}),
+    (["semigroup", "--input", "-", "--exhaustive", "--budget", "50"],
+     {"group": _Z3, "set": _Z3_SET}),
+    (["spectral", "--input", "-"], {"group": _Q2, "endo": {"matrix": [["3/2"]]}}),
+    (["generate", "--kind", "fn", "--seed", "3"], {}),
+    (["suite", "--id", "empty", "--cases", "2"], {}),
+] + [(c["argv"], c["doc"]) for c in GOLDEN.values()]
+TOKENS = ["-", "--input", "--kind", "--mode", "--rule", "--seed", "--budget", "--cases",
+          "--id", "--t", "--exhaustive", "--help", "affine", "wright", "kuhn", "fn", "0",
+          "-3", "2", "1/2", "1/0", "x", "", "empty", "nope"]
+LEAVES = [0, 1, 3, -1, 1.5, 1e400, True, None, "0", "-2", "1/2", "1/0", "x", "", [], {},
+          ["1"], [["1"]]]
+
+
+def _mutate_doc(draw, doc, depth=0):
+    if isinstance(doc, dict) and doc and depth < 6:
+        key = draw(st.sampled_from(sorted(doc)))
+        action = draw(st.sampled_from(["into", "drop", "replace"]))
+        out = dict(doc)
+        if action == "drop":
+            del out[key]
+        elif action == "replace":
+            out[key] = draw(st.sampled_from(LEAVES))
+        else:
+            out[key] = _mutate_doc(draw, doc[key], depth + 1)
+        return out
+    if isinstance(doc, list) and doc and depth < 6:
+        i = draw(st.integers(0, len(doc) - 1))
+        out = list(doc)
+        out[i] = _mutate_doc(draw, doc[i], depth + 1)
+        return out
+    return draw(st.sampled_from(LEAVES))
+
+
+@st.composite
+def requests(draw):
+    argv, doc = draw(st.sampled_from(SEEDS))
+    argv = list(argv)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(argv)))
+        if draw(st.booleans()) and at < len(argv):
+            del argv[at]
+        else:
+            argv.insert(at, draw(st.sampled_from(TOKENS)))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        doc = _mutate_doc(draw, doc)
+    stdin = json.dumps(doc)
+    if draw(st.integers(0, 9)) == 0:
+        stdin = stdin[:draw(st.integers(0, len(stdin)))]
+    return argv, stdin
+
+
+@settings(max_examples=300, deadline=2000, database=None, derandomize=True)
+@given(requests())
+def test_dispatch_fuzz_ends_cleanly(request):
+    argv, stdin = request
+    code, _, err = dispatch(argv, stdin)
+    assert code in (0, 1, 2, 3, 4), code
+    assert "Traceback" not in err
+    if code == 1:
+        assert argv[0] in ("check", "support", "decompose", "suite"), argv
